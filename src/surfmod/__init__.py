@@ -23,6 +23,7 @@ from .errors import (
 from .family import (
     AmbientMap,
     BoxDomain,
+    NodeFields,
     ParametrizedFamily,
     Submersion,
     compose,
@@ -31,6 +32,7 @@ from .family import (
     jacobian_partial_x,
     jacobian_partial_y,
     key_relation_residual,
+    node_fields,
     submersion_jacobian,
 )
 from .linalg import companion_block, generalized_norm, verify_factorization
@@ -87,6 +89,7 @@ __all__ = [
     "InversionFailure",
     "ModulusReport",
     "NoConvergence",
+    "NodeFields",
     "NonFiniteIntegrand",
     "ParametrizedFamily",
     "QuadratureScheme",
@@ -119,6 +122,7 @@ __all__ = [
     "make_pq_map",
     "make_shear",
     "modulus_p",
+    "node_fields",
     "solve_discrete",
     "standard_entries",
     "submersion_jacobian",

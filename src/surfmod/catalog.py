@@ -55,10 +55,12 @@ class CatalogEntry:
     """A named family together with its exact modulus.
 
     ``expected_modulus`` maps any exponent p > 1 to the closed-form
-    modulus (for the condenser entry, to a direct numerical evaluation,
-    since no closed form exists).  ``expected_density`` is the constant
-    value of the extremal density as a function of p for families whose
-    extremal density is constant, and None otherwise.  ``transverse``
+    modulus (for an entry built by :func:`make_condenser`, to a direct
+    numerical evaluation, since no closed form exists in general; the
+    registry's "condenser" entry carries its closed form sx * sy^(1-p)).
+    ``expected_density`` is the constant value of the extremal density as
+    a function of p for families whose extremal density is constant, and
+    None otherwise.  ``transverse``
     links to the family swept in the complementary directions when the
     construction provides one.
     """
@@ -85,6 +87,11 @@ def _box(spec) -> BoxDomain:
 
 def _bounds(box: BoxDomain) -> list:
     return [[float(lo), float(hi)] for lo, hi in zip(box.lower, box.upper)]
+
+
+def _constant(matrix):
+    """Vectorized Jacobian that is ``matrix`` at every node."""
+    return lambda x, y: np.broadcast_to(matrix, x.shape[:-1] + matrix.shape)
 
 
 def _probe_consistency(fam: ParametrizedFamily, sub: Submersion, label: str):
@@ -123,8 +130,9 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         m=m,
         param_box=u,
         surface_box=v,
-        map=lambda x, y: np.concatenate([x, y]),
-        jacobian=lambda x, y: eye,
+        map=lambda x, y: np.concatenate([x, y], axis=-1),
+        jacobian=_constant(eye),
+        vectorized=True,
     )
     sub = Submersion(
         n=n,
@@ -137,8 +145,9 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         m=k,
         param_box=v,
         surface_box=u,
-        map=lambda x, y: np.concatenate([y, x]),
-        jacobian=lambda x, y: flip,
+        map=lambda x, y: np.concatenate([y, x], axis=-1),
+        jacobian=_constant(flip),
+        vectorized=True,
     )
     transverse_sub = Submersion(
         n=n,
@@ -203,8 +212,9 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
         m=m,
         param_box=u,
         surface_box=v,
-        map=lambda x, y: np.concatenate([x + s @ y, y]),
-        jacobian=lambda x, y: jac,
+        map=lambda x, y: np.concatenate([x + y @ s.T, y], axis=-1),
+        jacobian=_constant(jac),
+        vectorized=True,
     )
     sub = Submersion(
         n=n,
@@ -226,17 +236,32 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
     return entry
 
 
-def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
-    u = _box([(0.0, 2.0 * np.pi)])
-    v = _box([(inner, outer)])
+def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
+    """Vectorized polar map (r, t) -> (r cos t, r sin t) on U x V.
+
+    The radius is the parameter (circles) when ``radius_first``, and the
+    surface coordinate (rays) otherwise.
+    """
+
+    def split(x, y):
+        return (x[..., 0], y[..., 0]) if radius_first else (y[..., 0], x[..., 0])
 
     def polar_map(x, y):
-        return np.array([y[0] * np.cos(x[0]), y[0] * np.sin(x[0])])
+        r, t = split(x, y)
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
     def polar_jac(x, y):
-        c, sn = np.cos(x[0]), np.sin(x[0])
-        return np.array([[-y[0] * sn, c], [y[0] * c, sn]])
+        r, t = split(x, y)
+        c, sn = np.cos(t), np.sin(t)
+        cols = [np.stack([c, sn], -1), np.stack([-r * sn, r * c], -1)]
+        return np.stack(cols if radius_first else cols[::-1], axis=-1)
 
+    return ParametrizedFamily(
+        n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac, vectorized=True
+    )
+
+
+def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
     def angle(z):
         return np.array([np.arctan2(z[1], z[0]) % (2.0 * np.pi)])
 
@@ -252,13 +277,10 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - q) - inner ** (2.0 - q)) / (2.0 - q)
         return 2.0 * np.pi * weight ** (1.0 - e)
 
-    family = ParametrizedFamily(
-        n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac
-    )
     sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac)
     return CatalogEntry(
         name="annulus-radial",
-        family=family,
+        family=_polar_family(_box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)]), False),
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
         submersion=sub,
@@ -266,16 +288,6 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
 
 
 def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
-    u = _box([(inner, outer)])
-    v = _box([(0.0, 2.0 * np.pi)])
-
-    def polar_map(x, y):
-        return np.array([x[0] * np.cos(y[0]), x[0] * np.sin(y[0])])
-
-    def polar_jac(x, y):
-        c, sn = np.cos(y[0]), np.sin(y[0])
-        return np.array([[c, -x[0] * sn], [sn, x[0] * c]])
-
     def radius(z):
         return np.array([np.hypot(z[0], z[1])])
 
@@ -290,13 +302,10 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - e) - inner ** (2.0 - e)) / (2.0 - e)
         return (2.0 * np.pi) ** (1.0 - e) * weight
 
-    family = ParametrizedFamily(
-        n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac
-    )
     sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac)
     return CatalogEntry(
         name="annulus-circular",
-        family=family,
+        family=_polar_family(_box([(inner, outer)]), _box([(0.0, 2.0 * np.pi)]), True),
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
         submersion=sub,
@@ -360,8 +369,9 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         m=1,
         param_box=u,
         surface_box=v,
-        map=lambda x, y: np.array([a * x[0], b * y[0]]),
-        jacobian=lambda x, y: jac,
+        map=lambda x, y: np.stack([a * x[..., 0], b * y[..., 0]], axis=-1),
+        jacobian=_constant(jac),
+        vectorized=True,
     )
     sub = Submersion(
         n=2, k=1, map=lambda z: np.array([z[0] / a]), jacobian=lambda z: np.array([[1.0 / a, 0.0]])
@@ -371,8 +381,9 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         m=1,
         param_box=v,
         surface_box=u,
-        map=lambda x, y: np.array([a * y[0], b * x[0]]),
-        jacobian=lambda x, y: flip,
+        map=lambda x, y: np.stack([a * y[..., 0], b * x[..., 0]], axis=-1),
+        jacobian=_constant(flip),
+        vectorized=True,
     )
     transverse_sub = Submersion(
         n=2, k=1, map=lambda z: np.array([z[1] / b]), jacobian=lambda z: np.array([[0.0, 1.0 / b]])
@@ -474,7 +485,12 @@ def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) ->
             base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
             diag = np.array([[sx, 0.0], [0.0, sy]])
             outer = AmbientMap(n=2, map=lambda z: diag @ z, jacobian=lambda z: diag)
-            return make_condenser(base, outer)
+            # Unit flat surfaces stretched by diag(sx, sy) all weigh
+            # l = sx^(1-q) sy, and (1-q)(1-p) = 1 gives sx sy^(1-p).
+            return replace(
+                make_condenser(base, outer),
+                expected_modulus=lambda e: sx * sy ** (1.0 - e),
+            )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid parameters for family {name!r}: {exc}") from exc
     raise ConfigError(

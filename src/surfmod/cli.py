@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class RunConfig:
     output: str | None = None
     format: str = "json"
     seed: int = 0
-    threads: int | None = None
     trials: int = 50
 
 
@@ -160,21 +159,7 @@ def _parse_ladder(text: str):
     return rungs
 
 
-_CONFIG_KEYS = {
-    "command",
-    "family",
-    "parameters",
-    "p",
-    "order",
-    "subdivisions",
-    "kind",
-    "ladder",
-    "output",
-    "format",
-    "seed",
-    "threads",
-    "trials",
-}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
@@ -220,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--subdivisions", type=int, help="quadrature cells per axis")
         cmd.add_argument("--kind", choices=["gauss", "midpoint"], help="quadrature kind")
         cmd.add_argument("--seed", type=int, help="random seed, recorded in the output")
-        cmd.add_argument("--threads", type=int, help="worker-thread cap")
         cmd.add_argument("--output", help="path of the result file")
         cmd.add_argument("--format", choices=["json", "csv"], help="result file format")
         if name == "verify":
@@ -287,15 +271,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         output=pick("output", None),
         format=str(pick("format", "json")),
         seed=int(pick("seed", 0)),
-        threads=pick("threads", None),
         trials=int(pick("trials", 50)),
     )
     if config.format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {config.format!r}")
-    if config.threads is not None:
-        config.threads = int(config.threads)
-        if config.threads < 1:
-            raise ConfigError("threads must be a positive integer")
     if config.trials < 1:
         raise ConfigError("trials must be a positive integer")
     try:
@@ -317,7 +296,7 @@ def _quadrature(config: RunConfig) -> QuadratureScheme:
 def _run_compute(config: RunConfig) -> int:
     entry = build_entry(config.family, config.parameters, p=config.p)
     quad = _quadrature(config)
-    report = modulus_p(entry.family, config.p, quad, threads=config.threads)
+    report = modulus_p(entry.family, config.p, quad)
     expected = float(entry.expected_modulus(config.p))
     relative_error = abs(report.modulus - expected) / abs(expected)
     payload = {
@@ -354,11 +333,15 @@ def _run_compute(config: RunConfig) -> int:
     return 0
 
 
+def _check(name: str, passed: bool, value: float, tolerance: float) -> dict:
+    return {"name": name, "passed": passed, "value": value, "tolerance": tolerance}
+
+
 def _run_verify(config: RunConfig) -> int:
     entry = build_entry(config.family, config.parameters, p=config.p)
     quad = _quadrature(config)
     fam = entry.family
-    report = modulus_p(fam, config.p, quad, threads=config.threads)
+    report = modulus_p(fam, config.p, quad)
     checks = []
 
     density = extremal_density(fam, config.p, quad)
@@ -366,14 +349,7 @@ def _run_verify(config: RunConfig) -> int:
     samples = fam.param_box.grid(per_axis, inset=0.01)
     surface_integrals = admissibility_check(fam, density, quad, samples)
     worst = max(abs(value - 1.0) for _, value in surface_integrals)
-    checks.append(
-        {
-            "name": "admissibility",
-            "passed": worst <= _ADMISSIBILITY_TOL,
-            "value": worst,
-            "tolerance": _ADMISSIBILITY_TOL,
-        }
-    )
+    checks.append(_check("admissibility", worst <= _ADMISSIBILITY_TOL, worst, _ADMISSIBILITY_TOL))
 
     if entry.submersion is not None:
         worst = 0.0
@@ -381,37 +357,16 @@ def _run_verify(config: RunConfig) -> int:
             lhs, rhs = coarea_check(fam, entry.submersion, integrand, quad)
             scale = max(abs(lhs), abs(rhs), 1e-30)
             worst = max(worst, abs(lhs - rhs) / scale)
-        checks.append(
-            {
-                "name": "coarea",
-                "passed": worst <= _COAREA_TOL,
-                "value": worst,
-                "tolerance": _COAREA_TOL,
-            }
-        )
+        checks.append(_check("coarea", worst <= _COAREA_TOL, worst, _COAREA_TOL))
         alt = submersion_modulus(entry.submersion, fam, config.p, quad)
         gap = abs(alt.modulus - report.modulus) / report.modulus
-        checks.append(
-            {
-                "name": "route-equivalence",
-                "passed": gap <= _ROUTE_TOL,
-                "value": gap,
-                "tolerance": _ROUTE_TOL,
-            }
-        )
+        checks.append(_check("route-equivalence", gap <= _ROUTE_TOL, gap, _ROUTE_TOL))
     else:
         checks.append({"name": "coarea", "passed": None, "skipped": True})
         checks.append({"name": "route-equivalence", "passed": None, "skipped": True})
 
     gap = extremality_probe(fam, config.p, quad, trials=config.trials, seed=config.seed)
-    checks.append(
-        {
-            "name": "extremality",
-            "passed": gap >= _EXTREMALITY_SLACK,
-            "value": gap,
-            "tolerance": _EXTREMALITY_SLACK,
-        }
-    )
+    checks.append(_check("extremality", gap >= _EXTREMALITY_SLACK, gap, _EXTREMALITY_SLACK))
 
     payload = {
         "family": entry.name,

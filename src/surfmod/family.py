@@ -13,18 +13,21 @@ together with the generalized norm of the y-block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateJacobian, EvaluationFailure
-from .linalg import generalized_norm
+from .linalg import generalized_norm  # noqa: F401 -- traced here by perfbench/spans.py
+from .linalg import stacked_norm
 
 __all__ = [
     "BoxDomain",
     "ParametrizedFamily",
     "Submersion",
     "AmbientMap",
+    "NodeFields",
+    "node_fields",
     "jacobian_full",
     "jacobian_partial_x",
     "jacobian_partial_y",
@@ -36,6 +39,9 @@ __all__ = [
 # Central-difference step scale: cube root of machine epsilon balances
 # truncation against rounding for second-order-accurate differences.
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+# Nodes per batch in node_fields; bounds the stacked Jacobians' memory.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +120,12 @@ class ParametrizedFamily:
         Optional analytic Jacobian ``jacobian(x, y) -> (n, n) array``
         with columns ordered as the n-m x-derivatives followed by the m
         y-derivatives.  When absent, central finite differences are used.
+    vectorized : bool
+        When True, ``map`` and ``jacobian`` broadcast over leading axes:
+        x of shape (..., n-m) and y of shape (..., m) give (..., n) and
+        (..., n, n).  :func:`node_fields` then evaluates a whole batch of
+        nodes in one call, finite differences included; otherwise it
+        calls the map once per node.
 
     The map is expected to be injective with nonvanishing Jacobian
     determinant; this is not checked at construction and violations
@@ -126,6 +138,7 @@ class ParametrizedFamily:
     surface_box: BoxDomain
     map: Callable
     jacobian: Callable | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n - 1:
@@ -178,64 +191,92 @@ def _point(vec, dim: int, label: str) -> np.ndarray:
     return vec
 
 
+def _evaluate(fam: ParametrizedFamily, fn, x, y, shape: tuple, label: str) -> np.ndarray:
+    """``fn`` at the paired nodes (x[i], y[i]), stacked to (N,) + shape.
+
+    A vectorized family's callable gets the whole batch, any other one
+    node at a time.  Misshapen or non-finite values raise
+    EvaluationFailure naming the first offending node.
+    """
+    if fam.vectorized:
+        out = np.asarray(fn(x, y), dtype=float)
+        if out.shape != (len(x),) + shape:
+            raise EvaluationFailure(
+                f"{label} returned shape {out.shape}, expected {(len(x),) + shape}"
+            )
+    else:
+        out = np.empty((len(x),) + shape)
+        for i, (a, b) in enumerate(zip(x, y)):
+            value = np.asarray(fn(a, b), dtype=float)
+            if value.shape != shape:
+                raise EvaluationFailure(
+                    f"{label} returned shape {value.shape}, expected {shape} at x={a}, y={b}"
+                )
+            out[i] = value
+    bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationFailure(f"{label} returned non-finite values at x={x[i]}, y={y[i]}")
+    return out
+
+
+def _stacked_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
+    """Images of the paired nodes (x[i], y[i]), shape (N, n)."""
+    return _evaluate(fam, fam.map, x, y, (fam.n,), "map")
+
+
 def evaluate_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
     """Evaluate fam.map with shape and finiteness checks."""
     x = _point(x, fam.n - fam.m, "x")
     y = _point(y, fam.m, "y")
-    z = np.asarray(fam.map(x, y), dtype=float)
-    if z.shape != (fam.n,):
-        raise EvaluationFailure(
-            f"map returned shape {z.shape}, expected ({fam.n},)"
-        )
-    if not np.all(np.isfinite(z)):
-        raise EvaluationFailure(f"map returned non-finite values at x={x}, y={y}")
-    return z
+    return _stacked_map(fam, x[None], y[None])[0]
 
 
 def _fd_columns(func, w0, lower, upper, coords, out_dim):
-    """Central-difference derivative columns of ``func`` at ``w0``.
+    """Central-difference derivative columns of ``func`` at each row of ``w0``.
 
-    One column per index in ``coords``.  When bounds are given, the
-    differencing center is clamped so both sample points stay inside the
-    open box (the derivative is then taken at the inset point, an O(h)
-    perturbation that preserves second-order accuracy in the interior).
+    ``func`` maps an (N, d) array of points to (N, out_dim); the result
+    has shape (N, out_dim, len(coords)), one column per index in
+    ``coords``.  When bounds are given, the differencing center is
+    clamped so both sample points stay inside the open box (the
+    derivative is then taken at the inset point, an O(h) perturbation
+    that preserves second-order accuracy in the interior).
     """
-    cols = np.empty((out_dim, len(coords)))
+    cols = np.empty((w0.shape[0], out_dim, len(coords)))
     for pos, j in enumerate(coords):
-        h = _FD_STEP * max(1.0, abs(w0[j]))
-        center = w0[j]
+        h = _FD_STEP * np.maximum(1.0, np.abs(w0[:, j]))
+        center = w0[:, j]
         if lower is not None:
-            if lower[j] + h > upper[j] - h:
+            if np.any(lower[j] + h > upper[j] - h):
                 raise EvaluationFailure(
                     f"axis {j} is too narrow for finite differences"
                 )
-            center = min(max(center, lower[j] + h), upper[j] - h)
+            center = np.minimum(np.maximum(center, lower[j] + h), upper[j] - h)
         wp = w0.copy()
         wm = w0.copy()
-        wp[j] = center + h
-        wm[j] = center - h
-        cols[:, pos] = (func(wp) - func(wm)) / (wp[j] - wm[j])
+        wp[:, j] = center + h
+        wm[:, j] = center - h
+        cols[:, :, pos] = (func(wp) - func(wm)) / (wp[:, j] - wm[:, j])[:, None]
     return cols
 
 
-def _family_fd(fam: ParametrizedFamily, x, y, coords) -> np.ndarray:
-    k = fam.n - fam.m
-    w0 = np.concatenate([x, y])
+def _jacobian_columns(fam: ParametrizedFamily, x, y, cols=slice(None)) -> np.ndarray:
+    """Stacked Jacobian columns ``cols`` at the paired nodes, (N, n, ncols)."""
+    n = fam.n
+    if fam.jacobian is not None:
+        return _evaluate(fam, fam.jacobian, x, y, (n, n), "jacobian")[:, :, cols]
+    k = n - fam.m
     lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
     upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
-    func = lambda w: evaluate_map(fam, w[:k], w[k:])
-    return _fd_columns(func, w0, lower, upper, coords, fam.n)
+    func = lambda w: _stacked_map(fam, w[:, :k], w[:, k:])
+    w0 = np.concatenate([x, y], axis=1)
+    return _fd_columns(func, w0, lower, upper, range(n)[cols], n)
 
 
-def _analytic_jacobian(fam: ParametrizedFamily, x, y) -> np.ndarray:
-    jac = np.asarray(fam.jacobian(x, y), dtype=float)
-    if jac.shape != (fam.n, fam.n):
-        raise EvaluationFailure(
-            f"jacobian returned shape {jac.shape}, expected ({fam.n}, {fam.n})"
-        )
-    if not np.all(np.isfinite(jac)):
-        raise EvaluationFailure(f"jacobian returned non-finite values at x={x}, y={y}")
-    return jac
+def _point_columns(fam: ParametrizedFamily, x, y, cols) -> np.ndarray:
+    x = _point(x, fam.n - fam.m, "x")
+    y = _point(y, fam.m, "y")
+    return _jacobian_columns(fam, x[None], y[None], cols)[0]
 
 
 def jacobian_full(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -247,20 +288,12 @@ def jacobian_full(fam: ParametrizedFamily, x, y) -> np.ndarray:
     finite differences with per-axis steps scaled to the coordinate
     magnitude and inset at the box boundary.
     """
-    x = _point(x, fam.n - fam.m, "x")
-    y = _point(y, fam.m, "y")
-    if fam.jacobian is not None:
-        return _analytic_jacobian(fam, x, y)
-    return _family_fd(fam, x, y, range(fam.n))
+    return _point_columns(fam, x, y, slice(None))
 
 
 def jacobian_partial_x(fam: ParametrizedFamily, x, y) -> np.ndarray:
     """The n x (n-m) block of x-derivative columns of the map."""
-    x = _point(x, fam.n - fam.m, "x")
-    y = _point(y, fam.m, "y")
-    if fam.jacobian is not None:
-        return _analytic_jacobian(fam, x, y)[:, : fam.n - fam.m]
-    return _family_fd(fam, x, y, range(fam.n - fam.m))
+    return _point_columns(fam, x, y, slice(None, fam.n - fam.m))
 
 
 def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -269,11 +302,84 @@ def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
     Its generalized norm is the m-dimensional area-distortion factor of
     the surface through x at the point y.
     """
-    x = _point(x, fam.n - fam.m, "x")
-    y = _point(y, fam.m, "y")
-    if fam.jacobian is not None:
-        return _analytic_jacobian(fam, x, y)[:, fam.n - fam.m :]
-    return _family_fd(fam, x, y, range(fam.n - fam.m, fam.n))
+    return _point_columns(fam, x, y, slice(fam.n - fam.m, None))
+
+
+class NodeFields(NamedTuple):
+    """Per-node quantities of a family, stacked over N nodes.
+
+    ``dets`` is |det J| and ``areas`` the generalized norm of the y-block
+    of J, both of shape (N,).  ``images`` (N, n) holds the map values and
+    ``gradients`` (N,) the generalized norm of a submersion's derivative
+    at each image; each is None unless requested.
+    """
+
+    dets: np.ndarray
+    areas: np.ndarray
+    images: np.ndarray | None = None
+    gradients: np.ndarray | None = None
+
+
+def _tensor_pairs(x_nodes, y_nodes):
+    """Every row of ``x_nodes`` paired with every row of ``y_nodes``, x-major."""
+    return (
+        np.repeat(x_nodes, len(y_nodes), axis=0),
+        np.tile(y_nodes, (len(x_nodes), 1)),
+    )
+
+
+def node_fields(
+    fam: ParametrizedFamily,
+    x,
+    y,
+    floor: float | None = None,
+    images: bool = False,
+    submersion: "Submersion | None" = None,
+) -> NodeFields:
+    """|det J| and the y-block area factor at the paired nodes (x[i], y[i]).
+
+    ``x`` has shape (N, n-m) and ``y`` shape (N, m).  A vectorized family
+    is evaluated once per batch; any other family once per node.  The
+    area factor is a column norm when m = 1 and the product of the
+    diagonal of a stacked QR factor otherwise.
+
+    Every check of the per-point functions applies to the whole batch
+    and names the first offending node: misshapen or non-finite map and
+    Jacobian values raise EvaluationFailure, and with ``floor`` given a
+    node whose |det J| is at or below it raises DegenerateJacobian.  With
+    ``images`` the map values are returned too; with ``submersion`` they
+    are, along with the norm of the submersion's derivative at each.
+    """
+    k = fam.n - fam.m
+    x = np.asarray(x, dtype=float).reshape(-1, k)
+    y = np.asarray(y, dtype=float).reshape(-1, fam.m)
+    if len(x) != len(y):
+        raise ValueError(f"got {len(x)} parameter nodes but {len(y)} surface nodes")
+    if len(x) > _CHUNK:
+        parts = [
+            node_fields(fam, x[i : i + _CHUNK], y[i : i + _CHUNK], floor, images, submersion)
+            for i in range(0, len(x), _CHUNK)
+        ]
+        return NodeFields(
+            *(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
+        )
+    jac = _jacobian_columns(fam, x, y)
+    dets = np.abs(np.linalg.det(jac))
+    if floor is not None and np.any(dets <= floor):
+        i = int(np.argmax(dets <= floor))
+        raise DegenerateJacobian(
+            f"|det J| = {dets[i]:.3e} at x={x[i]}, y={y[i]} is below the degeneracy "
+            f"floor {floor:.3e}"
+        )
+    fields = NodeFields(dets, stacked_norm(jac[:, :, k:]))
+    if not (images or submersion is not None):
+        return fields
+    z = _stacked_map(fam, x, y)
+    if submersion is None:
+        return fields._replace(images=z)
+    grads = [submersion_jacobian(submersion, point) for point in z]
+    grads = np.array(grads).reshape(len(z), submersion.k, fam.n)
+    return fields._replace(images=z, gradients=stacked_norm(grads))
 
 
 def submersion_jacobian(sub: Submersion, z) -> np.ndarray:
@@ -302,7 +408,8 @@ def submersion_jacobian(sub: Submersion, z) -> np.ndarray:
                 f"submersion jacobian returned non-finite values at z={z}"
             )
         return jac
-    return _fd_columns(func, z.copy(), None, None, range(sub.n), sub.k)
+    batch = lambda w: func(w[0])[None]
+    return _fd_columns(batch, z[None], None, None, range(sub.n), sub.k)[0]
 
 
 def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> float:
@@ -322,14 +429,11 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
         )
     x = _point(x, fam.n - fam.m, "x")
     y = _point(y, fam.m, "y")
-    full = jacobian_full(fam, x, y)
-    area = generalized_norm(full[:, fam.n - fam.m :])
+    fields = node_fields(fam, x[None], y[None], submersion=sub)
+    area = float(fields.areas[0])
     if not area > 1e-300:
         raise DegenerateJacobian(f"surface area factor vanishes at x={x}, y={y}")
-    det = abs(float(np.linalg.det(full)))
-    z = evaluate_map(fam, x, y)
-    grad = generalized_norm(submersion_jacobian(sub, z))
-    return abs(area - det * grad) / area
+    return abs(area - float(fields.dets[0] * fields.gradients[0])) / area
 
 
 def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
@@ -351,8 +455,6 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
     if fam.jacobian is not None and outer.jacobian is not None:
         def jac(x, y, _fam=fam, _outer=outer):
             z = evaluate_map(_fam, x, y)
-            return np.asarray(_outer.jacobian(z), dtype=float) @ _analytic_jacobian(
-                _fam, x, y
-            )
+            return np.asarray(_outer.jacobian(z), dtype=float) @ jacobian_full(_fam, x, y)
 
-    return replace(fam, map=composed, jacobian=jac)
+    return replace(fam, map=composed, jacobian=jac, vectorized=False)

@@ -20,6 +20,7 @@ from .errors import SingularMatrix
 __all__ = [
     "RCOND_THRESHOLD",
     "generalized_norm",
+    "stacked_norm",
     "companion_block",
     "verify_factorization",
 ]
@@ -35,33 +36,33 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def stacked_norm(a) -> np.ndarray:
+    """Generalized norm of every matrix in a stack of shape (N, rows, cols).
+
+    Wide matrices are handled through their transpose.  A single column
+    (or row) takes its Euclidean norm; otherwise the absolute product of
+    the diagonal of a stacked QR factor gives sqrt(det(A^T A)) without
+    forming the Gram matrix, whose determinant loses accuracy as the
+    square of the condition number.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] > a.shape[-2]:
+        a = np.swapaxes(a, -1, -2)
+    if a.shape[-1] == 1:
+        return np.linalg.norm(a[..., 0], axis=-1)
+    r = np.linalg.qr(a, mode="r")
+    return np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+
+
 def generalized_norm(a) -> float:
     """Volume-scaling norm of a rectangular matrix.
 
-    Parameters
-    ----------
-    a : array_like
-        Matrix of shape (n, m).  Any of tall, square, or wide is accepted;
-        wide matrices are handled through their transpose.
-
-    Returns
-    -------
-    float
-        sqrt(det(A^T A)) for tall or square A, sqrt(det(A A^T)) for wide A.
-        Equal to |det A| in the square case.
-
-    Notes
-    -----
-    Computed from a QR factorization as the absolute product of the
-    diagonal of R, which evaluates sqrt(det(A^T A)) without ever forming
-    the Gram matrix.  Rank-deficient input yields 0.0 rather than an
-    error.
+    sqrt(det(A^T A)) for a tall or square (n, m) matrix A, equal to
+    |det A| in the square case, and sqrt(det(A A^T)) for a wide one;
+    computed by :func:`stacked_norm` on a stack of one.  Rank-deficient
+    input yields (nearly) 0.0 rather than an error.
     """
-    a = _as_matrix(a)
-    if a.shape[1] > a.shape[0]:
-        a = a.T
-    r = np.linalg.qr(a, mode="r")
-    return float(abs(np.prod(np.diag(r))))
+    return float(stacked_norm(_as_matrix(a)[None])[0])
 
 
 def companion_block(a, m: int, rcond_threshold: float = RCOND_THRESHOLD) -> np.ndarray:

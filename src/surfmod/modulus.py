@@ -23,7 +23,6 @@ surfaces; both are implemented and cross-checked.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +34,17 @@ from .errors import (
     NonFiniteIntegrand,
 )
 from .family import (
-    BoxDomain,
     ParametrizedFamily,
     Submersion,
+    _stacked_map,
+    _tensor_pairs,
     evaluate_map,
     jacobian_full,
     key_relation_residual,
-    submersion_jacobian,
+    node_fields,
+    submersion_jacobian,  # noqa: F401 -- traced here by perfbench/spans.py
 )
-from .linalg import generalized_norm
+from .linalg import generalized_norm  # noqa: F401 -- traced here, as above
 from .quadrature import QuadratureScheme
 
 __all__ = [
@@ -87,40 +88,60 @@ def jacobian_floor(fam: ParametrizedFamily, probes_per_axis: int = 5) -> float:
     are reported as degenerate rather than silently amplified by the
     q-power in the integrand.
     """
-    x_grid = fam.param_box.grid(probes_per_axis)
-    y_grid = fam.surface_box.grid(probes_per_axis)
-    vals = []
-    for x in x_grid:
-        for y in y_grid:
-            vals.append(abs(float(np.linalg.det(jacobian_full(fam, x, y)))))
-    return _DEGENERACY_FACTOR * float(np.median(vals))
+    x, y = _tensor_pairs(
+        fam.param_box.grid(probes_per_axis), fam.surface_box.grid(probes_per_axis)
+    )
+    return _DEGENERACY_FACTOR * float(np.median(node_fields(fam, x, y).dets))
 
 
-def _l_at(fam, x, q, nodes, weights, floor):
-    """Surface weight l(x) plus the smallest |det J| seen on the way."""
-    split = fam.n - fam.m
-    total = 0.0
-    min_det = np.inf
-    for y, w in zip(nodes, weights):
-        full = jacobian_full(fam, x, y)
-        det = abs(float(np.linalg.det(full)))
-        if det <= floor:
-            raise DegenerateJacobian(
-                f"|det J| = {det:.3e} at x={x}, y={y} is below the degeneracy "
-                f"floor {floor:.3e}"
-            )
-        min_det = min(min_det, det)
-        area = generalized_norm(full[:, split:])
-        try:
-            value = (area / det) ** q * det
-        except OverflowError:
-            value = np.inf
-        if not np.isfinite(value):
-            raise NonFiniteIntegrand(
-                f"surface-weight integrand is non-finite at x={x}, y={y}"
-            )
-        total += w * value
-    return total, min_det
+def _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor):
+    """Surface weights l(x) at every row of ``x_nodes``.
+
+    One kernel call covers the tensor grid of ``x_nodes`` and the inner
+    nodes; |det J| and the area factor come back with l as
+    (len(x_nodes), len(y_nodes)) arrays.
+    """
+    x, y = _tensor_pairs(x_nodes, y_nodes)
+    fields = node_fields(fam, x, y, floor=floor)
+    with np.errstate(over="ignore"):
+        values = (fields.areas / fields.dets) ** q * fields.dets
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteIntegrand(
+            f"surface-weight integrand is non-finite at x={x[i]}, y={y[i]}"
+        )
+    shape = (len(x_nodes), len(y_nodes))
+    l_vals = values.reshape(shape) @ y_weights
+    _check_weights(l_vals, x_nodes, "surface weight l(x)")
+    return l_vals, fields.dets.reshape(shape), fields.areas.reshape(shape)
+
+
+def _check_weights(l_vals, x_nodes, label):
+    unusable = ~(np.isfinite(l_vals) & (l_vals >= _L_FLOOR))
+    if unusable.any():
+        i = int(np.argmax(unusable))
+        raise NonFiniteIntegrand(
+            f"{label} = {float(l_vals[i])!r} at x={x_nodes[i]} is unusable"
+        )
+
+
+def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
+    """Integrate l(x)^(1-p) over the outer nodes into a ModulusReport."""
+    with np.errstate(over="ignore"):
+        modulus = float(x_weights @ l_vals ** (1.0 - p))
+    if not np.isfinite(modulus):
+        raise NonFiniteIntegrand("modulus integral is non-finite")
+    return ModulusReport(
+        p=float(p),
+        q=float(q),
+        modulus=modulus,
+        l_samples=tuple(
+            (tuple(float(c) for c in x), float(l_val)) for x, l_val in zip(x_nodes, l_vals)
+        ),
+        min_jacobian=float(dets.min()),
+        node_count=dets.size,
+    )
 
 
 def l_of_x(
@@ -155,8 +176,8 @@ def l_of_x(
     if floor is None:
         floor = jacobian_floor(fam)
     nodes, weights = quad.box_rule(fam.surface_box)
-    value, _ = _l_at(fam, np.atleast_1d(np.asarray(x, float)), q, nodes, weights, floor)
-    return value
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return float(_surface_weights(fam, x[None], q, nodes, weights, floor)[0][0])
 
 
 @dataclass(frozen=True)
@@ -186,7 +207,6 @@ def modulus_p(
     fam: ParametrizedFamily,
     p: float,
     quad: QuadratureScheme,
-    threads: int | None = None,
 ) -> ModulusReport:
     """p-modulus of the family by the closed-form reduction.
 
@@ -201,46 +221,13 @@ def modulus_p(
         Exponent, p > 1.
     quad : QuadratureScheme
         Used for both the outer (parameter) and inner (surface) integrals.
-    threads : int, optional
-        When > 1, surface weights at distinct outer nodes are computed in
-        a thread pool of at most this many workers.  Results and their
-        order are identical to the serial path.
     """
     q = conjugate_exponent(p)
     floor = jacobian_floor(fam)
     x_nodes, x_weights = quad.box_rule(fam.param_box)
     y_nodes, y_weights = quad.box_rule(fam.surface_box)
-
-    def weight_at(x):
-        return _l_at(fam, x, q, y_nodes, y_weights, floor)
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(weight_at, x_nodes))
-    else:
-        results = [weight_at(x) for x in x_nodes]
-
-    modulus = 0.0
-    min_det = np.inf
-    samples = []
-    for (x, w), (l_val, node_min) in zip(zip(x_nodes, x_weights), results):
-        if not np.isfinite(l_val) or l_val < _L_FLOOR:
-            raise NonFiniteIntegrand(
-                f"surface weight l(x) = {l_val!r} at x={x} is unusable"
-            )
-        samples.append((tuple(float(c) for c in x), float(l_val)))
-        modulus += w * l_val ** (1.0 - p)
-        min_det = min(min_det, node_min)
-    if not np.isfinite(modulus):
-        raise NonFiniteIntegrand("modulus integral is non-finite")
-    return ModulusReport(
-        p=float(p),
-        q=float(q),
-        modulus=float(modulus),
-        l_samples=tuple(samples),
-        min_jacobian=float(min_det),
-        node_count=len(x_nodes) * len(y_nodes),
-    )
+    l_vals, dets, _ = _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor)
+    return _report(p, q, x_nodes, x_weights, l_vals, dets)
 
 
 class ExtremalDensity:
@@ -294,18 +281,12 @@ class ExtremalDensity:
             axis[-1] -= pad
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = np.array([self._compute_l(x) for x in points]).reshape(
-            [table_points] * box.dim
-        )
+        values = self._compute_l(points).reshape([table_points] * box.dim)
         self._interp = RegularGridInterpolator(axes, values, method="linear")
 
-    def _compute_l(self, x):
-        value, _ = _l_at(
-            self.family, x, self.q, self._inner_nodes, self._inner_weights, self._floor
-        )
-        if not np.isfinite(value) or value < _L_FLOOR:
-            raise NonFiniteIntegrand(f"surface weight l(x) = {value!r} is unusable")
-        return value
+    def _compute_l(self, x_nodes):
+        nodes, weights = self._inner_nodes, self._inner_weights
+        return _surface_weights(self.family, x_nodes, self.q, nodes, weights, self._floor)[0]
 
     def l_value(self, x) -> float:
         """Surface weight l(x), interpolated if tabulation was requested."""
@@ -314,7 +295,7 @@ class ExtremalDensity:
             return float(self._interp(x)[0])
         key = x.tobytes()
         if key not in self._cache:
-            self._cache[key] = self._compute_l(x)
+            self._cache[key] = float(self._compute_l(x[None])[0])
         return self._cache[key]
 
     # -- evaluation ----------------------------------------------------
@@ -323,19 +304,22 @@ class ExtremalDensity:
         """Density value at the surface point with parameter coordinates (x, y)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        full = jacobian_full(self.family, x, y)
-        det = abs(float(np.linalg.det(full)))
-        if det <= self._floor:
-            raise DegenerateJacobian(
-                f"|det J| = {det:.3e} at x={x}, y={y} is below the degeneracy floor"
-            )
-        area = generalized_norm(full[:, self.family.n - self.family.m :])
-        try:
-            return (area / det) ** (self.q - 1.0) / self.l_value(x)
-        except OverflowError as exc:
-            raise NonFiniteIntegrand(
-                f"density value overflows at x={x}, y={y}"
-            ) from exc
+        return float(self._evaluate_grid(x[None], y[None])[0][0, 0])
+
+    def _evaluate_grid(self, x_nodes, y_nodes):
+        """Density on the tensor grid of ``x_nodes`` and ``y_nodes``, as a
+        (len(x_nodes), len(y_nodes)) array, with the node fields behind it."""
+        x, y = _tensor_pairs(x_nodes, y_nodes)
+        fields = node_fields(self.family, x, y, floor=self._floor)
+        l_vals = np.array([self.l_value(point) for point in x_nodes])
+        with np.errstate(over="ignore"):
+            values = (fields.areas / fields.dets) ** (self.q - 1.0)
+            values = values.reshape(len(x_nodes), len(y_nodes)) / l_vals[:, None]
+        bad = ~np.isfinite(values.ravel())
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NonFiniteIntegrand(f"density value overflows at x={x[i]}, y={y[i]}")
+        return values, fields
 
     def evaluate_ambient(self, z) -> float:
         """Density value at an ambient point of the swept region."""
@@ -353,16 +337,9 @@ class ExtremalDensity:
             return
         fam = self.family
         per_axis = 8
-        x_grid = fam.param_box.grid(per_axis)
-        y_grid = fam.surface_box.grid(per_axis)
-        params = []
-        images = []
-        for x in x_grid:
-            for y in y_grid:
-                params.append(np.concatenate([x, y]))
-                images.append(evaluate_map(fam, x, y))
-        self._seed_params = np.array(params)
-        self._seed_images = np.array(images)
+        x, y = _tensor_pairs(fam.param_box.grid(per_axis), fam.surface_box.grid(per_axis))
+        self._seed_params = np.concatenate([x, y], axis=1)
+        self._seed_images = _stacked_map(fam, x, y)
         span = self._seed_images.max(axis=0) - self._seed_images.min(axis=0)
         self._diameter = float(np.linalg.norm(span))
 
@@ -442,16 +419,12 @@ def admissibility_check(
     density shows up as integrals equal to one up to quadrature error.
     """
     nodes, weights = quad.box_rule(fam.surface_box)
-    split = fam.n - fam.m
-    out = []
-    for x in x_samples:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        total = 0.0
-        for y, w in zip(nodes, weights):
-            area = generalized_norm(jacobian_full(fam, x, y)[:, split:])
-            total += w * density.evaluate_param(x, y) * area
-        out.append((x.copy(), float(total)))
-    return out
+    x_samples = np.asarray(x_samples, dtype=float).reshape(-1, fam.n - fam.m)
+    values, fields = density._evaluate_grid(x_samples, nodes)
+    if density.family is not fam:
+        fields = node_fields(fam, *_tensor_pairs(x_samples, nodes))
+    integrals = (values * fields.areas.reshape(values.shape)) @ weights
+    return [(x.copy(), float(total)) for x, total in zip(x_samples, integrals)]
 
 
 def coarea_check(
@@ -472,20 +445,11 @@ def coarea_check(
         raise ValueError("submersion dimensions do not match the family")
     x_nodes, x_weights = quad.box_rule(fam.param_box)
     y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    split = fam.n - fam.m
-    lhs = 0.0
-    rhs = 0.0
-    for x, wx in zip(x_nodes, x_weights):
-        for y, wy in zip(y_nodes, y_weights):
-            full = jacobian_full(fam, x, y)
-            det = abs(float(np.linalg.det(full)))
-            area = generalized_norm(full[:, split:])
-            z = evaluate_map(fam, x, y)
-            g = float(integrand(z))
-            grad = generalized_norm(submersion_jacobian(sub, z))
-            lhs += wx * wy * g * grad * det
-            rhs += wx * wy * g * area
-    return float(lhs), float(rhs)
+    fields = node_fields(fam, *_tensor_pairs(x_nodes, y_nodes), submersion=sub)
+    weighted = np.outer(x_weights, y_weights).ravel()
+    weighted = weighted * np.array([float(integrand(z)) for z in fields.images])
+    lhs = weighted * fields.gradients * fields.dets
+    return float(lhs.sum()), float((weighted * fields.areas).sum())
 
 
 def submersion_modulus(
@@ -523,42 +487,16 @@ def submersion_modulus(
     floor = jacobian_floor(fam)
     x_nodes, x_weights = quad.box_rule(fam.param_box)
     y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    split = fam.n - fam.m
-    modulus = 0.0
-    min_det = np.inf
-    samples = []
-    for x, wx in zip(x_nodes, x_weights):
-        level_weight = 0.0
-        for y, wy in zip(y_nodes, y_weights):
-            full = jacobian_full(fam, x, y)
-            det = abs(float(np.linalg.det(full)))
-            if det <= floor:
-                raise DegenerateJacobian(
-                    f"|det J| = {det:.3e} at x={x}, y={y} is below the degeneracy floor"
-                )
-            min_det = min(min_det, det)
-            area = generalized_norm(full[:, split:])
-            z = evaluate_map(fam, x, y)
-            grad = generalized_norm(submersion_jacobian(sub, z))
-            if not grad > 0.0:
-                raise DegenerateJacobian(
-                    f"submersion differential is rank-deficient at z={z}"
-                )
-            level_weight += wy * grad ** (q - 1.0) * area
-        if not np.isfinite(level_weight) or level_weight < _L_FLOOR:
-            raise NonFiniteIntegrand(
-                f"level-set weight {level_weight!r} at x={x} is unusable"
-            )
-        samples.append((tuple(float(c) for c in x), float(level_weight)))
-        modulus += wx * level_weight ** (1.0 - p)
-    return ModulusReport(
-        p=float(p),
-        q=float(q),
-        modulus=float(modulus),
-        l_samples=tuple(samples),
-        min_jacobian=float(min_det),
-        node_count=len(x_nodes) * len(y_nodes),
-    )
+    x, y = _tensor_pairs(x_nodes, y_nodes)
+    fields = node_fields(fam, x, y, floor=floor, submersion=sub)
+    flat = ~(fields.gradients > 0.0)
+    if flat.any():
+        z = fields.images[int(np.argmax(flat))]
+        raise DegenerateJacobian(f"submersion differential is rank-deficient at z={z}")
+    shape = (len(x_nodes), len(y_nodes))
+    level = (fields.gradients ** (q - 1.0) * fields.areas).reshape(shape) @ y_weights
+    _check_weights(level, x_nodes, "level-set weight")
+    return _report(p, q, x_nodes, x_weights, level, fields.dets)
 
 
 def extremality_probe(
@@ -585,24 +523,7 @@ def extremality_probe(
     floor = jacobian_floor(fam)
     x_nodes, x_weights = quad.box_rule(fam.param_box)
     y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    split = fam.n - fam.m
-
-    dets = np.empty((len(x_nodes), len(y_nodes)))
-    areas = np.empty_like(dets)
-    for i, x in enumerate(x_nodes):
-        for j, y in enumerate(y_nodes):
-            full = jacobian_full(fam, x, y)
-            det = abs(float(np.linalg.det(full)))
-            if det <= floor:
-                raise DegenerateJacobian(
-                    f"|det J| = {det:.3e} at x={x}, y={y} is below the degeneracy floor"
-                )
-            dets[i, j] = det
-            areas[i, j] = generalized_norm(full[:, split:])
-
-    l_vals = ((areas / dets) ** q * dets) @ y_weights
-    if not (np.all(np.isfinite(l_vals)) and np.all(l_vals >= _L_FLOOR)):
-        raise NonFiniteIntegrand("a sampled surface weight is unusable")
+    l_vals, dets, areas = _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor)
     modulus = float(x_weights @ l_vals ** (1.0 - p))
     density = (areas / dets) ** (q - 1.0) / l_vals[:, None]
     floor_value = float(density.min())

@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .errors import InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, evaluate_map, jacobian_partial_y
-from .linalg import generalized_norm
+from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
+# perfbench/spans.py traces these three names at this module.
+from .family import evaluate_map, jacobian_partial_y  # noqa: F401
+from .linalg import generalized_norm  # noqa: F401
 from .modulus import ModulusReport, conjugate_exponent
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _TEXT_HEADER = "surfmod-discrete-problem 1"
+
+# Samples per block in discretize_family; bounds its temporaries.
+_SAMPLE_BLOCK = 1 << 12
 
 
 def _fmt(value: float) -> str:
@@ -91,17 +94,16 @@ class DiscreteModulusProblem:
     def surface_count(self) -> int:
         return len(self.surfaces)
 
-    def constraint_matrix(self) -> scipy.sparse.csr_matrix:
+    def constraint_matrix(self) -> "scipy.sparse.csr_matrix":
         """Sparse surface-by-cell weight matrix."""
-        rows = []
-        cols = []
-        vals = []
-        for s, (idx, w) in enumerate(self.surfaces):
-            rows.extend([s] * idx.size)
-            cols.extend(idx.tolist())
-            vals.extend(w.tolist())
+        import scipy.sparse
+
+        idx = [np.zeros(0, dtype=int)] + [i for i, _ in self.surfaces]
+        vals = [np.zeros(0)] + [w for _, w in self.surfaces]
+        rows = np.repeat(np.arange(self.surface_count), [i.size for i in idx[1:]])
         return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.surface_count, self.cell_count)
+            (np.concatenate(vals), (rows, np.concatenate(idx))),
+            shape=(self.surface_count, self.cell_count),
         )
 
     def to_text(self) -> str:
@@ -209,27 +211,14 @@ def discretize_family(
 
     # Padded bounding box of the image, from an endpoint-touching probe grid.
     probe_per_axis = 33 if fam.n <= 2 else (17 if fam.n == 3 else 9)
-    lo_u, hi_u = fam.param_box.lower, fam.param_box.upper
-    lo_v, hi_v = fam.surface_box.lower, fam.surface_box.upper
-    pad_u = 1e-9 * fam.param_box.widths
-    pad_v = 1e-9 * fam.surface_box.widths
-    x_axes = [
-        np.linspace(lo_u[i] + pad_u[i], hi_u[i] - pad_u[i], probe_per_axis)
-        for i in range(fam.param_box.dim)
-    ]
-    y_axes = [
-        np.linspace(lo_v[i] + pad_v[i], hi_v[i] - pad_v[i], probe_per_axis)
-        for i in range(fam.surface_box.dim)
-    ]
-    x_probe = np.stack(
-        [g.ravel() for g in np.meshgrid(*x_axes, indexing="ij")], axis=-1
-    )
-    y_probe = np.stack(
-        [g.ravel() for g in np.meshgrid(*y_axes, indexing="ij")], axis=-1
-    )
-    images = np.array(
-        [evaluate_map(fam, x, y) for x in x_probe for y in y_probe]
-    )
+
+    def probe(box):
+        pad = 1e-9 * box.widths
+        ends = zip(box.lower + pad, box.upper - pad)
+        axes = [np.linspace(lo, hi, probe_per_axis) for lo, hi in ends]
+        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+    images = _stacked_map(fam, *_tensor_pairs(probe(fam.param_box), probe(fam.surface_box)))
     box_lo = images.min(axis=0)
     box_hi = images.max(axis=0)
     span = box_hi - box_lo
@@ -253,25 +242,31 @@ def discretize_family(
     sample_volume = fam.surface_box.volume / y_base.shape[0]
     y_cell = fam.surface_box.widths / samples_per_surface
 
+    # Surfaces go through the kernel in blocks of about _SAMPLE_BLOCK
+    # samples; successive jitter draws reproduce the per-surface stream.
+    per_surface = y_base.shape[0]
+    block = max(1, _SAMPLE_BLOCK // per_surface)
+    n_cells = centers.shape[0]
     surfaces = []
-    for x in x_values:
+    for start in range(0, len(x_values), block):
+        x_block = x_values[start : start + block]
+        y_points = np.broadcast_to(y_base, (len(x_block),) + y_base.shape)
         if rng is not None:
-            y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_base.shape) * y_cell)
-        else:
-            y_points = y_base
-        flat_weights = np.zeros(centers.shape[0])
-        for y in y_points:
-            area = generalized_norm(jacobian_partial_y(fam, x, y))
-            if area == 0.0:
-                continue
-            z = evaluate_map(fam, x, y)
-            idx = np.clip(
-                ((z - box_lo) / cell_widths).astype(int), 0, cells_per_axis - 1
-            )
-            flat = int(np.ravel_multi_index(tuple(idx), shape))
-            flat_weights[flat] += area * sample_volume
-        nonzero = np.nonzero(flat_weights)[0]
-        surfaces.append((nonzero, flat_weights[nonzero]))
+            y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
+        x_points = np.repeat(x_block, per_surface, axis=0)
+        fields = node_fields(fam, x_points, y_points.reshape(-1, fam.m), images=True)
+        keep = fields.areas != 0.0
+        idx = ((fields.images[keep] - box_lo) / cell_widths).astype(int)
+        flat = np.ravel_multi_index(tuple(np.clip(idx, 0, cells_per_axis - 1).T), shape)
+        surface = np.repeat(np.arange(len(x_block)), per_surface)[keep]
+        # Bin by (surface, cell) key; bincount sums each bin in sample order.
+        keys, inverse = np.unique(surface * n_cells + flat, return_inverse=True)
+        weights = np.bincount(inverse, weights=fields.areas[keep] * sample_volume)
+        keys, weights = keys[weights != 0.0], weights[weights != 0.0]
+        bounds = np.searchsorted(keys // n_cells, np.arange(len(x_block) + 1))
+        surfaces.extend(
+            (keys[a:b] % n_cells, weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
 
     return DiscreteModulusProblem(
         p=float(p), centers=centers, volumes=volumes, surfaces=tuple(surfaces)
@@ -303,6 +298,8 @@ def solve_discrete(
         If the relative duality gap or the residual violation still
         exceeds ``tol`` when the iteration cap is reached.
     """
+    import scipy.optimize
+
     p = problem.p
     q = conjugate_exponent(p)
     for s, (_, w) in enumerate(problem.surfaces):
@@ -317,9 +314,12 @@ def solve_discrete(
     def negative_dual(lam):
         load = a.T @ lam
         density = (load / (p * volumes)) ** exponent
-        value = lam.sum() - (load @ density) / q
-        gradient = 1.0 - a @ density
-        return -value, -gradient
+        margins = a @ density
+        # load @ density, summed over surfaces rather than cells: above
+        # 10^4 cells OpenBLAS threads that dot product, and waking its
+        # threads on every call can cost more than the whole evaluation.
+        value = lam.sum() - (lam @ margins) / q
+        return -value, margins - 1.0
 
     # A restart wipes the quasi-Newton memory, which often unsticks the
     # iteration when it halts a hair above tolerance.

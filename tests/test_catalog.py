@@ -139,6 +139,8 @@ def test_condenser_diagonal_stretch_closed_form():
     entry = build_entry("condenser", {"sx": 2.0, "sy": 1.0})
     for p in (1.5, 2.0, 3.0):
         assert entry.expected_modulus(p) == pytest.approx(2.0, rel=1e-9)
+        report = modulus_p(entry.family, p, LIGHT)
+        assert report.modulus == pytest.approx(2.0, rel=1e-12)
 
 
 def test_catalog_validation_errors():

@@ -52,6 +52,20 @@ def test_compute_parallel_json(tmp_path):
     assert diag["quadrature"]["order"] == 6
 
 
+def test_compute_condenser_against_closed_form(tmp_path):
+    out = tmp_path / "result.json"
+    code = cli.main(
+        ["compute", "--family", "condenser", "--p", "2.5", "--sx", "1.7", "--sy", "0.6"]
+        + ["--output", str(out)]
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    closed_form = 1.7 * 0.6 ** (1.0 - 2.5)
+    assert data["expected_modulus"] == pytest.approx(closed_form, rel=1e-15)
+    assert data["modulus"] == pytest.approx(closed_form, rel=1e-12)
+    assert data["relative_error"] < 1e-12
+
+
 def test_json_round_trip_is_byte_identical(tmp_path):
     _, out = run_compute(tmp_path)
     text = out.read_text()

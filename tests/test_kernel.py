@@ -1,0 +1,225 @@
+"""The batched node-field kernel and the vectorized family protocol."""
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from surfmod import (
+    BoxDomain,
+    DegenerateJacobian,
+    EvaluationFailure,
+    ParametrizedFamily,
+    discretize_family,
+    family,
+    make_polar_annulus,
+    make_shear,
+    node_fields,
+)
+
+from _oracles import minor_sum_norm, well_conditioned
+
+
+def _box(rng, dim):
+    lower = rng.uniform(-1.0, 1.0, dim)
+    return BoxDomain(lower, lower + rng.uniform(0.5, 2.0, dim))
+
+
+def linear_twins(a, param_box, surface_box, analytic=True):
+    """The linear map w -> a w as a vectorized family and a per-point one."""
+    n = a.shape[0]
+    m = surface_box.dim
+    vectorized = ParametrizedFamily(
+        n=n,
+        m=m,
+        param_box=param_box,
+        surface_box=surface_box,
+        map=lambda x, y: np.concatenate([x, y], axis=-1) @ a.T,
+        jacobian=(lambda x, y: np.broadcast_to(a, x.shape[:-1] + a.shape)) if analytic else None,
+        vectorized=True,
+    )
+    per_point = replace(
+        vectorized,
+        map=lambda x, y: a @ np.concatenate([x, y]),
+        jacobian=(lambda x, y: a) if analytic else None,
+        vectorized=False,
+    )
+    return vectorized, per_point
+
+
+def shear_twins(rng, k, m):
+    """A catalog shear family and a per-point family with the same map."""
+    entry = make_shear(_box(rng, k), _box(rng, m), rng.uniform(-1.0, 1.0, (k, m)))
+    s = np.asarray(entry.parameters["b"])
+    jac = entry.family.jacobian(np.zeros(k), np.zeros(m))
+    per_point = replace(
+        entry.family,
+        map=lambda x, y: np.concatenate([x + s @ y, y]),
+        jacobian=lambda x, y: jac,
+        vectorized=False,
+    )
+    return entry.family, per_point, np.array(jac)
+
+
+def random_nodes(rng, fam, count):
+    inset = lambda box: rng.uniform(
+        box.lower + 0.05 * box.widths, box.upper - 0.05 * box.widths, (count, box.dim)
+    )
+    return inset(fam.param_box), inset(fam.surface_box)
+
+
+def check_against_references(fam, matrix, x, y, rtol):
+    fields = node_fields(fam, x, y)
+    det = abs(np.linalg.det(matrix))
+    area = minor_sum_norm(matrix[:, fam.n - fam.m :])
+    np.testing.assert_allclose(fields.dets, det, rtol=rtol)
+    np.testing.assert_allclose(fields.areas, area, rtol=rtol)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_linear_and_shear_twins_match_references(analytic):
+    rtol = 1e-13 if analytic else 1e-9
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, n))
+        a = well_conditioned(rng, n)
+        twins = linear_twins(a, _box(rng, n - m), _box(rng, m), analytic)
+        x, y = random_nodes(rng, twins[0], 12)
+        for fam in twins:
+            check_against_references(fam, a, x, y, rtol)
+
+        vectorized, per_point, jac = shear_twins(rng, n - m, m)
+        if not analytic:
+            vectorized = replace(vectorized, jacobian=None)
+            per_point = replace(per_point, jacobian=None)
+        x, y = random_nodes(rng, vectorized, 12)
+        for fam in (vectorized, per_point):
+            check_against_references(fam, jac, x, y, rtol)
+
+
+def test_vectorized_finite_differences_call_the_map_per_axis():
+    a = well_conditioned(np.random.default_rng(2), 3)
+    fam, _ = linear_twins(a, BoxDomain([0.0], [1.0]), BoxDomain([0.0, 0.0], [1.0, 1.0]), False)
+    calls = []
+
+    def counted(x, y):
+        calls.append(x.shape)
+        return fam.map(x, y)
+
+    x, y = random_nodes(np.random.default_rng(3), fam, 40)
+    node_fields(replace(fam, map=counted), x, y)
+    # two stencil points per axis, each one call over the whole batch
+    assert calls == [(40, 1)] * 6
+
+
+def test_images_and_chunks_match_single_points(monkeypatch):
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
+    x, y = random_nodes(np.random.default_rng(5), entry.family, 7)
+    whole = node_fields(entry.family, x, y, submersion=entry.submersion)
+    monkeypatch.setattr(family, "_CHUNK", 3)
+    chunked = node_fields(entry.family, x, y, submersion=entry.submersion)
+    for a, b in zip(whole, chunked):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(whole.dets, y[:, 0], rtol=1e-14)
+    np.testing.assert_allclose(whole.areas, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(whole.gradients, 1.0 / y[:, 0], rtol=1e-14)
+    for point, a, b in zip(whole.images, x, y):
+        np.testing.assert_array_equal(point, family.evaluate_map(entry.family, a, b))
+
+
+def _polar_jacobian(x, y):
+    c, s, r = np.cos(x[..., 0]), np.sin(x[..., 0]), y[..., 0]
+    return np.stack([np.stack([-r * s, c], -1), np.stack([r * c, s], -1)], -2)
+
+
+def _polar(vectorized, bad=None):
+    """Polar map; ``bad(x, y, z)`` may spoil the image of chosen nodes."""
+
+    def mapping(x, y):
+        z = np.stack([y[..., 0] * np.cos(x[..., 0]), y[..., 0] * np.sin(x[..., 0])], -1)
+        return z if bad is None else bad(x, y, z)
+
+    return ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([0.0], [2.0]),
+        map=mapping,
+        jacobian=_polar_jacobian,
+        vectorized=vectorized,
+    )
+
+
+NODES_X = np.array([[0.1], [0.3], [0.6], [0.8]])
+NODES_Y = np.array([[1.0], [1.5], [0.5], [1.2]])
+FIRST_BAD = re.escape("x=[0.6], y=[0.5]")
+
+
+def _nan_where_far(x, y, z):
+    return np.where(x[..., :1] > 0.5, np.nan, z)
+
+
+def test_batch_with_a_non_finite_node_raises():
+    for vectorized in (True, False):
+        fam = _polar(vectorized, _nan_where_far)
+        with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+            node_fields(fam, NODES_X, NODES_Y, images=True)
+
+
+def test_batch_with_a_misshapen_node_raises():
+    def short_where_far(x, y, z):
+        return z[:1] if x[0] > 0.5 else z
+
+    with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+        node_fields(_polar(False, short_where_far), NODES_X, NODES_Y, images=True)
+    with pytest.raises(EvaluationFailure, match=re.escape("(4, 3)")):
+        node_fields(
+            _polar(True, lambda x, y, z: np.concatenate([z, z[..., :1]], -1)),
+            NODES_X,
+            NODES_Y,
+            images=True,
+        )
+
+
+def test_batch_with_a_misshapen_or_non_finite_jacobian_raises():
+    jac = _polar_jacobian
+    spoiled = lambda x, y: np.where(x[..., :1, None] > 0.5, np.inf, jac(x, y))
+    fam = replace(_polar(True), jacobian=spoiled)
+    with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+        node_fields(fam, NODES_X, NODES_Y)
+    with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+        node_fields(replace(fam, vectorized=False), NODES_X, NODES_Y)
+    with pytest.raises(EvaluationFailure, match=re.escape("(4, 2, 2)")):
+        node_fields(replace(fam, jacobian=lambda x, y: jac(x, y)[:, :1]), NODES_X, NODES_Y)
+
+
+def test_batch_with_a_degenerate_node_raises():
+    # |det J| of the polar map is the radius, which vanishes at y = 0
+    y = NODES_Y.copy()
+    y[2, 0] = 0.0
+    for vectorized in (True, False):
+        fam = _polar(vectorized)
+        fields = node_fields(fam, NODES_X, y)
+        assert fields.dets[2] < 1e-12
+        with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.6], y=[0.]")):
+            node_fields(fam, NODES_X, y, floor=1e-6)
+
+
+def test_discretize_twins_agree():
+    rng = np.random.default_rng(41)
+    vectorized, per_point, _ = shear_twins(rng, 1, 1)
+    radial = make_polar_annulus(1.0, 2.0, mode="radial").family
+    per_point_radial = replace(
+        _polar(False), param_box=radial.param_box, surface_box=radial.surface_box
+    )
+    for one, two in ((vectorized, per_point), (radial, per_point_radial)):
+        fd_one, fd_two = (replace(fam, jacobian=None) for fam in (one, two))
+        for fam_one, fam_two in ((one, two), (fd_one, fd_two)):
+            a = discretize_family(fam_one, 2.0, 8, 24, 32, rng=np.random.default_rng(9))
+            b = discretize_family(fam_two, 2.0, 8, 24, 32, rng=np.random.default_rng(9))
+            assert len(a.surfaces) == len(b.surfaces) == 24
+            for (i1, w1), (i2, w2) in zip(a.surfaces, b.surfaces):
+                np.testing.assert_array_equal(i1, i2)
+                np.testing.assert_allclose(w1, w2, rtol=1e-14)

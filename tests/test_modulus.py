@@ -100,14 +100,6 @@ def test_modulus_shear():
     assert report.modulus == pytest.approx(0.5, rel=1e-13)
 
 
-def test_modulus_threads_match_serial():
-    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
-    serial = modulus_p(fam, 2.0, QUAD)
-    parallel = modulus_p(fam, 2.0, QUAD, threads=4)
-    assert parallel.modulus == serial.modulus
-    assert parallel.l_samples == serial.l_samples
-
-
 def test_modulus_rejects_p_one():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
