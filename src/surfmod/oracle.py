@@ -20,6 +20,9 @@ correctly.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,12 @@ _TEXT_HEADER = "surfmod-discrete-problem 1"
 
 # Samples per block in discretize_family; bounds its temporaries.
 _SAMPLE_BLOCK = 1 << 12
+
+# OpenBLAS thread-count entry points ({} is get or set): numpy's and
+# scipy's wheels prefix them, 64-bit-integer builds suffix them.
+_OPENBLAS_THREADS = [
+    f"{a}openblas_{{}}_num_threads{b}" for a in ("scipy_", "") for b in ("", "64_")
+]
 
 
 def _fmt(value: float) -> str:
@@ -288,7 +297,8 @@ def solve_discrete(
     rescaled by the smallest constraint margin to restore feasibility.
     The default ``tol`` leaves headroom for the rescale step, which
     amplifies the iteration's final stationarity defect on problems with
-    many redundant constraints.
+    many redundant constraints.  The iteration runs with OpenBLAS limited
+    to one thread (see ``_one_blas_thread``).
 
     Raises
     ------
@@ -315,9 +325,8 @@ def solve_discrete(
         load = a.T @ lam
         density = (load / (p * volumes)) ** exponent
         margins = a @ density
-        # load @ density, summed over surfaces rather than cells: above
-        # 10^4 cells OpenBLAS threads that dot product, and waking its
-        # threads on every call can cost more than the whole evaluation.
+        # load @ density, summed over surfaces rather than cells: fewer
+        # terms, and exactly invariant under a permutation of the cells.
         value = lam.sum() - (lam @ margins) / q
         return -value, margins - 1.0
 
@@ -328,19 +337,20 @@ def solve_discrete(
     gap = np.inf
     violation = np.inf
     for _ in range(3):
-        result = scipy.optimize.minimize(
-            negative_dual,
-            lam,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, None)] * problem.surface_count,
-            options={
-                "maxiter": max_iters,
-                "maxfun": max(20 * max_iters, 15000),
-                "ftol": 1e-18,
-                "gtol": 1e-12,
-            },
-        )
+        with _one_blas_thread():
+            result = scipy.optimize.minimize(
+                negative_dual,
+                lam,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=[(0.0, None)] * problem.surface_count,
+                options={
+                    "maxiter": max_iters,
+                    "maxfun": max(20 * max_iters, 15000),
+                    "ftol": 1e-18,
+                    "gtol": 1e-12,
+                },
+            )
         lam = result.x
         total_iters += int(result.nit)
         load = a.T @ lam
@@ -370,6 +380,46 @@ def solve_discrete(
         f"duality gap {gap:.3e} (violation {violation:.3e}) still above "
         f"{tol:.1e} after {total_iters} iterations"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into the
+    process; empty where /proc/self/maps does not exist (outside Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a "(deleted)" mapping
+            continue
+        names = [name for name in _OPENBLAS_THREADS if hasattr(lib, name.format("set"))]
+        for name in names[:1]:
+            controls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Limit every OpenBLAS to one thread inside the block.
+
+    OpenBLAS spreads some of L-BFGS-B's small BLAS calls over threads
+    whose workers then spin on another core: twice the CPU time for the
+    same solve, and a slower, noisier one when that core is busy.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def cross_validate(

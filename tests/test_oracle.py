@@ -303,3 +303,25 @@ def test_cross_validate_rejects_nonpositive_reference():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
         cross_validate(fam, 2.0, 0.0, [4])
+
+
+def test_solver_runs_blas_single_threaded(monkeypatch):
+    import scipy.optimize
+
+    from surfmod import oracle
+
+    controls = oracle._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    before = [get() for get, _ in controls]
+    seen = []
+    minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        seen.append([get() for get, _ in controls])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    solve_discrete(random_problem(np.random.default_rng(3)))
+    assert seen and all(counts == [1] * len(controls) for counts in seen)
+    assert [get() for get, _ in controls] == before
