@@ -15,14 +15,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InconsistentSubmersion
+from .errors import ConfigError
 from .family import (
     AmbientMap,
     BoxDomain,
     ParametrizedFamily,
     Submersion,
+    _probe_key_relation,
     compose,
-    key_relation_residual,
+    key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
 from .modulus import conjugate_exponent, modulus_p
 from .quadrature import QuadratureScheme
@@ -90,22 +91,14 @@ def _bounds(box: BoxDomain) -> list:
 
 
 def _constant(matrix):
-    """Vectorized Jacobian that is ``matrix`` at every node."""
-    return lambda x, y: np.broadcast_to(matrix, x.shape[:-1] + matrix.shape)
+    """Vectorized Jacobian that is ``matrix`` at every node, for a family
+    (called with x, y) or a submersion (called with z)."""
+    matrix = np.asarray(matrix, dtype=float)
+    return lambda w, *_: np.broadcast_to(matrix, w.shape[:-1] + matrix.shape)
 
 
 def _probe_consistency(fam: ParametrizedFamily, sub: Submersion, label: str):
-    x_probes = np.vstack([fam.param_box.grid(2), fam.param_box.grid(1)])
-    y_probes = np.vstack([fam.surface_box.grid(2), fam.surface_box.grid(1)])
-    worst = 0.0
-    for x in x_probes:
-        for y in y_probes:
-            worst = max(worst, key_relation_residual(fam, sub, x, y))
-    if worst > _PROBE_TOL:
-        raise InconsistentSubmersion(
-            f"catalog entry {label!r}: area-factor residual {worst:.3e} exceeds "
-            f"{_PROBE_TOL:.1e}"
-        )
+    _probe_key_relation(fam, sub, _PROBE_TOL, f"catalog entry {label!r}")
 
 
 def make_parallel(param_box, surface_box) -> CatalogEntry:
@@ -135,10 +128,7 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         vectorized=True,
     )
     sub = Submersion(
-        n=n,
-        k=k,
-        map=lambda z: z[:k],
-        jacobian=lambda z: eye[:k],
+        n=n, k=k, map=lambda z: z[..., :k], jacobian=_constant(eye[:k]), vectorized=True
     )
     transverse_family = ParametrizedFamily(
         n=n,
@@ -150,10 +140,7 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         vectorized=True,
     )
     transverse_sub = Submersion(
-        n=n,
-        k=m,
-        map=lambda z: z[k:],
-        jacobian=lambda z: eye[k:],
+        n=n, k=m, map=lambda z: z[..., k:], jacobian=_constant(eye[k:]), vectorized=True
     )
     transverse = CatalogEntry(
         name="parallel-transverse",
@@ -219,8 +206,9 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
     sub = Submersion(
         n=n,
         k=k,
-        map=lambda z: z[:k] - s @ z[k:],
-        jacobian=lambda z: sub_jac,
+        map=lambda z: z[..., :k] - z[..., k:] @ s.T,
+        jacobian=_constant(sub_jac),
+        vectorized=True,
     )
     entry = CatalogEntry(
         name="shear",
@@ -263,11 +251,11 @@ def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
 
 def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
     def angle(z):
-        return np.array([np.arctan2(z[1], z[0]) % (2.0 * np.pi)])
+        return (np.arctan2(z[..., 1], z[..., 0]) % (2.0 * np.pi))[..., None]
 
     def angle_jac(z):
-        rr = z[0] ** 2 + z[1] ** 2
-        return np.array([[-z[1] / rr, z[0] / rr]])
+        rr = z[..., 0] ** 2 + z[..., 1] ** 2
+        return np.stack([-z[..., 1] / rr, z[..., 0] / rr], axis=-1)[..., None, :]
 
     def expected(e):
         q = conjugate_exponent(e)
@@ -277,7 +265,7 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - q) - inner ** (2.0 - q)) / (2.0 - q)
         return 2.0 * np.pi * weight ** (1.0 - e)
 
-    sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac)
+    sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac, vectorized=True)
     return CatalogEntry(
         name="annulus-radial",
         family=_polar_family(_box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)]), False),
@@ -289,11 +277,10 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
 
 def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
     def radius(z):
-        return np.array([np.hypot(z[0], z[1])])
+        return np.hypot(z[..., 0], z[..., 1])[..., None]
 
     def radius_jac(z):
-        r = np.hypot(z[0], z[1])
-        return np.array([[z[0] / r, z[1] / r]])
+        return (z / radius(z))[..., None, :]
 
     def expected(e):
         if abs(e - 2.0) < 1e-8:
@@ -302,7 +289,7 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - e) - inner ** (2.0 - e)) / (2.0 - e)
         return (2.0 * np.pi) ** (1.0 - e) * weight
 
-    sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac)
+    sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac, vectorized=True)
     return CatalogEntry(
         name="annulus-circular",
         family=_polar_family(_box([(inner, outer)]), _box([(0.0, 2.0 * np.pi)]), True),
@@ -374,7 +361,7 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         vectorized=True,
     )
     sub = Submersion(
-        n=2, k=1, map=lambda z: np.array([z[0] / a]), jacobian=lambda z: np.array([[1.0 / a, 0.0]])
+        n=2, k=1, map=lambda z: z[..., :1] / a, jacobian=_constant([[1 / a, 0.0]]), vectorized=True
     )
     transverse_family = ParametrizedFamily(
         n=2,
@@ -386,7 +373,7 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         vectorized=True,
     )
     transverse_sub = Submersion(
-        n=2, k=1, map=lambda z: np.array([z[1] / b]), jacobian=lambda z: np.array([[0.0, 1.0 / b]])
+        n=2, k=1, map=lambda z: z[..., 1:] / b, jacobian=_constant([[0.0, 1 / b]]), vectorized=True
     )
 
     def expected_vertical(e):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateJacobian, EvaluationFailure
+from .errors import DegenerateJacobian, EvaluationFailure, InconsistentSubmersion
 from .linalg import generalized_norm  # noqa: F401 -- traced here by perfbench/spans.py
 from .linalg import stacked_norm
 
@@ -159,13 +159,16 @@ class Submersion:
 
     ``map(z) -> array of shape (k,)``; the optional analytic ``jacobian``
     returns the (k, n) derivative matrix at z.  The differential is
-    expected to have full rank wherever it is evaluated.
+    expected to have full rank wherever it is evaluated.  With
+    ``vectorized`` both broadcast over leading axes, z of shape (..., n)
+    giving (..., k) and (..., k, n), as for :class:`ParametrizedFamily`.
     """
 
     n: int
     k: int
     map: Callable
     jacobian: Callable | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:
@@ -191,38 +194,40 @@ def _point(vec, dim: int, label: str) -> np.ndarray:
     return vec
 
 
-def _evaluate(fam: ParametrizedFamily, fn, x, y, shape: tuple, label: str) -> np.ndarray:
-    """``fn`` at the paired nodes (x[i], y[i]), stacked to (N,) + shape.
+def _evaluate(fn, vectorized: bool, args: tuple, shape: tuple, label: str, names="xy"):
+    """``fn`` at the rows of the equally long arrays ``args``, stacked to (N,) + shape.
 
-    A vectorized family's callable gets the whole batch, any other one
-    node at a time.  Misshapen or non-finite values raise
-    EvaluationFailure naming the first offending node.
+    A vectorized callable gets the whole batch, any other one row at a
+    time.  Misshapen or non-finite values raise EvaluationFailure naming
+    the first offending row, each array by its letter in ``names``.
     """
-    if fam.vectorized:
-        out = np.asarray(fn(x, y), dtype=float)
-        if out.shape != (len(x),) + shape:
+    where = lambda i: ", ".join(f"{name}={arg[i]}" for name, arg in zip(names, args))
+    count = len(args[0])
+    if vectorized:
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape != (count,) + shape:
             raise EvaluationFailure(
-                f"{label} returned shape {out.shape}, expected {(len(x),) + shape}"
+                f"{label} returned shape {out.shape}, expected {(count,) + shape}"
             )
     else:
-        out = np.empty((len(x),) + shape)
-        for i, (a, b) in enumerate(zip(x, y)):
-            value = np.asarray(fn(a, b), dtype=float)
+        out = np.empty((count,) + shape)
+        for i in range(count):
+            value = np.asarray(fn(*(arg[i] for arg in args)), dtype=float)
             if value.shape != shape:
                 raise EvaluationFailure(
-                    f"{label} returned shape {value.shape}, expected {shape} at x={a}, y={b}"
+                    f"{label} returned shape {value.shape}, expected {shape} at {where(i)}"
                 )
             out[i] = value
     bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
     if bad.any():
         i = int(np.argmax(bad))
-        raise EvaluationFailure(f"{label} returned non-finite values at x={x[i]}, y={y[i]}")
+        raise EvaluationFailure(f"{label} returned non-finite values at {where(i)}")
     return out
 
 
 def _stacked_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
     """Images of the paired nodes (x[i], y[i]), shape (N, n)."""
-    return _evaluate(fam, fam.map, x, y, (fam.n,), "map")
+    return _evaluate(fam.map, fam.vectorized, (x, y), (fam.n,), "map")
 
 
 def evaluate_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -264,7 +269,7 @@ def _jacobian_columns(fam: ParametrizedFamily, x, y, cols=slice(None)) -> np.nda
     """Stacked Jacobian columns ``cols`` at the paired nodes, (N, n, ncols)."""
     n = fam.n
     if fam.jacobian is not None:
-        return _evaluate(fam, fam.jacobian, x, y, (n, n), "jacobian")[:, :, cols]
+        return _evaluate(fam.jacobian, fam.vectorized, (x, y), (n, n), "jacobian")[:, :, cols]
     k = n - fam.m
     lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
     upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
@@ -339,9 +344,9 @@ def node_fields(
     """|det J| and the y-block area factor at the paired nodes (x[i], y[i]).
 
     ``x`` has shape (N, n-m) and ``y`` shape (N, m).  A vectorized family
-    is evaluated once per batch; any other family once per node.  The
-    area factor is a column norm when m = 1 and the product of the
-    diagonal of a stacked QR factor otherwise.
+    or submersion is evaluated once per batch; any other one once per
+    node.  The area factor is a column norm when m = 1 and the product
+    of the diagonal of a stacked QR factor otherwise.
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node: misshapen or non-finite map and
@@ -377,39 +382,44 @@ def node_fields(
     z = _stacked_map(fam, x, y)
     if submersion is None:
         return fields._replace(images=z)
-    grads = [submersion_jacobian(submersion, point) for point in z]
-    grads = np.array(grads).reshape(len(z), submersion.k, fam.n)
-    return fields._replace(images=z, gradients=stacked_norm(grads))
+    return fields._replace(images=z, gradients=stacked_norm(_submersion_columns(submersion, z)))
+
+
+def _submersion_columns(sub: Submersion, z) -> np.ndarray:
+    """Stacked (N, k, n) derivative of a submersion at the rows of ``z``.
+
+    Without an analytic Jacobian, central differences with the per-axis
+    step of :func:`_fd_columns` (no bounds: F is defined on all of R^n).
+    A per-point submersion's map may return a scalar when k = 1, and its
+    Jacobian a single row.
+    """
+    n, k = sub.n, sub.k
+    if sub.jacobian is not None:
+        jac = sub.jacobian if sub.vectorized else lambda w: np.atleast_2d(sub.jacobian(w))
+        return _evaluate(jac, sub.vectorized, (z,), (k, n), "submersion jacobian", "z")
+    fn = sub.map if sub.vectorized else lambda w: np.atleast_1d(sub.map(w))
+    func = lambda w: _evaluate(fn, sub.vectorized, (w,), (k,), "submersion", "z")
+    return _fd_columns(func, z, None, None, range(n), k)
 
 
 def submersion_jacobian(sub: Submersion, z) -> np.ndarray:
     """The (k, n) derivative matrix of a submersion at the ambient point z."""
-    z = _point(z, sub.n, "z")
+    return _submersion_columns(sub, _point(z, sub.n, "z")[None])[0]
 
-    def func(w):
-        val = np.asarray(sub.map(w), dtype=float)
-        val = np.atleast_1d(val)
-        if val.shape != (sub.k,):
-            raise EvaluationFailure(
-                f"submersion returned shape {val.shape}, expected ({sub.k},)"
-            )
-        if not np.all(np.isfinite(val)):
-            raise EvaluationFailure(f"submersion returned non-finite values at z={w}")
-        return val
 
-    if sub.jacobian is not None:
-        jac = np.atleast_2d(np.asarray(sub.jacobian(z), dtype=float))
-        if jac.shape != (sub.k, sub.n):
-            raise EvaluationFailure(
-                f"submersion jacobian has shape {jac.shape}, expected ({sub.k}, {sub.n})"
-            )
-        if not np.all(np.isfinite(jac)):
-            raise EvaluationFailure(
-                f"submersion jacobian returned non-finite values at z={z}"
-            )
-        return jac
-    batch = lambda w: func(w[0])[None]
-    return _fd_columns(batch, z[None], None, None, range(sub.n), sub.k)[0]
+def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
+    """Residuals of :func:`key_relation_residual` at the paired nodes (x[i], y[i])."""
+    if sub.n != fam.n or sub.k != fam.n - fam.m:
+        raise ValueError(
+            f"submersion of shape ({sub.n} -> {sub.k}) does not match a family "
+            f"with n={fam.n}, m={fam.m}"
+        )
+    fields = node_fields(fam, x, y, submersion=sub)
+    vanishing = ~(fields.areas > 1e-300)
+    if vanishing.any():
+        i = int(np.argmax(vanishing))
+        raise DegenerateJacobian(f"surface area factor vanishes at x={x[i]}, y={y[i]}")
+    return np.abs(fields.areas - fields.dets * fields.gradients) / fields.areas
 
 
 def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> float:
@@ -422,18 +432,28 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
     factor; it is zero (up to rounding or finite-difference error) for
     consistent pairs.
     """
-    if sub.n != fam.n or sub.k != fam.n - fam.m:
-        raise ValueError(
-            f"submersion of shape ({sub.n} -> {sub.k}) does not match a family "
-            f"with n={fam.n}, m={fam.m}"
-        )
     x = _point(x, fam.n - fam.m, "x")
     y = _point(y, fam.m, "y")
-    fields = node_fields(fam, x[None], y[None], submersion=sub)
-    area = float(fields.areas[0])
-    if not area > 1e-300:
-        raise DegenerateJacobian(f"surface area factor vanishes at x={x}, y={y}")
-    return abs(area - float(fields.dets[0] * fields.gradients[0])) / area
+    return float(_key_relation_residuals(fam, sub, x[None], y[None])[0])
+
+
+def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, label: str):
+    """Check the area-factor identity on a coarse probe grid, in one batch.
+
+    The probes pair every point of the 2-per-axis and the center grid of
+    the parameter box with every such point of the surface box.  A
+    residual above ``tol`` anywhere raises InconsistentSubmersion, with
+    ``label`` naming the pair; a vanishing area factor raises
+    DegenerateJacobian.
+    """
+    x_probes = np.vstack([fam.param_box.grid(2), fam.param_box.grid(1)])
+    y_probes = np.vstack([fam.surface_box.grid(2), fam.surface_box.grid(1)])
+    worst = float(_key_relation_residuals(fam, sub, *_tensor_pairs(x_probes, y_probes)).max())
+    if not worst <= tol:
+        raise InconsistentSubmersion(
+            f"{label}: area-factor residual {worst:.3e} exceeds {tol:.1e}; the "
+            f"submersion's level sets do not match the family"
+        )
 
 
 def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:

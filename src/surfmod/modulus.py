@@ -27,20 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateJacobian,
-    InconsistentSubmersion,
-    InversionFailure,
-    NonFiniteIntegrand,
-)
+from .errors import DegenerateJacobian, InversionFailure, NonFiniteIntegrand
 from .family import (
     ParametrizedFamily,
     Submersion,
+    _probe_key_relation,
     _stacked_map,
     _tensor_pairs,
     evaluate_map,
     jacobian_full,
-    key_relation_residual,
+    key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
     node_fields,
     submersion_jacobian,  # noqa: F401 -- traced here by perfbench/spans.py
 )
@@ -469,21 +465,7 @@ def submersion_modulus(
     """
     q = conjugate_exponent(p)
     fam = levelset_param
-    if sub.n != fam.n or sub.k != fam.n - fam.m:
-        raise ValueError("submersion dimensions do not match the level-set family")
-
-    x_probes = np.vstack([fam.param_box.grid(2), fam.param_box.grid(1)])
-    y_probes = np.vstack([fam.surface_box.grid(2), fam.surface_box.grid(1)])
-    worst = 0.0
-    for x in x_probes:
-        for y in y_probes:
-            worst = max(worst, key_relation_residual(fam, sub, x, y))
-    if worst > residual_tol:
-        raise InconsistentSubmersion(
-            f"area-factor residual {worst:.3e} exceeds {residual_tol:.1e}; the "
-            f"submersion's level sets do not match the family"
-        )
-
+    _probe_key_relation(fam, sub, residual_tol, "submersion_modulus")
     floor = jacobian_floor(fam)
     x_nodes, x_weights = quad.box_rule(fam.param_box)
     y_nodes, y_weights = quad.box_rule(fam.surface_box)

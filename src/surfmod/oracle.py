@@ -318,11 +318,12 @@ def solve_discrete(
                 f"surface {s} has zero total weight; its constraint cannot be met"
             )
     a = problem.constraint_matrix()
+    a_t = a.T  # built once: each a.T makes a new sparse wrapper
     volumes = problem.volumes
     exponent = 1.0 / (p - 1.0)
 
     def negative_dual(lam):
-        load = a.T @ lam
+        load = a_t @ lam
         density = (load / (p * volumes)) ** exponent
         margins = a @ density
         # load @ density, summed over surfaces rather than cells: fewer
@@ -353,7 +354,7 @@ def solve_discrete(
             )
         lam = result.x
         total_iters += int(result.nit)
-        load = a.T @ lam
+        load = a_t @ lam
         density = (load / (p * volumes)) ** exponent
         margins = a @ density
         smallest = float(margins.min()) if margins.size else 0.0

@@ -10,12 +10,19 @@ from surfmod import (
     BoxDomain,
     DegenerateJacobian,
     EvaluationFailure,
+    InconsistentSubmersion,
     ParametrizedFamily,
+    QuadratureScheme,
+    Submersion,
+    catalog,
     discretize_family,
     family,
+    key_relation_residual,
+    make_parallel,
     make_polar_annulus,
     make_shear,
     node_fields,
+    submersion_modulus,
 )
 
 from _oracles import minor_sum_norm, well_conditioned
@@ -223,3 +230,155 @@ def test_discretize_twins_agree():
             for (i1, w1), (i2, w2) in zip(a.surfaces, b.surfaces):
                 np.testing.assert_array_equal(i1, i2)
                 np.testing.assert_allclose(w1, w2, rtol=1e-14)
+
+
+def submersion_twins(b, analytic=True):
+    """The linear submersion z -> b z as a vectorized and a per-point one."""
+    k, n = b.shape
+    vectorized = Submersion(
+        n=n,
+        k=k,
+        map=lambda z: z @ b.T,
+        jacobian=(lambda z: np.broadcast_to(b, z.shape[:-1] + b.shape)) if analytic else None,
+        vectorized=True,
+    )
+    per_point = replace(
+        vectorized,
+        map=lambda z: b @ z,
+        jacobian=(lambda z: b) if analytic else None,
+        vectorized=False,
+    )
+    return vectorized, per_point
+
+
+def one_point_at_a_time(sub):
+    """A per-point copy of a vectorized submersion."""
+    lift = lambda fn: None if fn is None else (lambda z: fn(z[None])[0])
+    return replace(sub, map=lift(sub.map), jacobian=lift(sub.jacobian), vectorized=False)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_submersion_twins_give_the_same_gradients(analytic):
+    rtol = 1e-13 if analytic else 1e-9
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, n))
+        a = well_conditioned(rng, n)
+        fam, _ = linear_twins(a, _box(rng, n - m), _box(rng, m))
+        b = rng.normal(size=(n - m, n))
+        x, y = random_nodes(rng, fam, 12)
+        for sub in submersion_twins(b, analytic):
+            fields = node_fields(fam, x, y, submersion=sub)
+            np.testing.assert_allclose(fields.gradients, minor_sum_norm(b), rtol=rtol)
+    # catalog submersions against per-point copies of themselves; the angle
+    # has gradient norm 1/r and the radius 1
+    for mode in ("radial", "circular"):
+        entry = make_polar_annulus(1.0, 2.0, mode)
+        sub = entry.submersion if analytic else replace(entry.submersion, jacobian=None)
+        x, y = random_nodes(rng, entry.family, 12)
+        one, two = (
+            node_fields(entry.family, x, y, submersion=twin)
+            for twin in (sub, one_point_at_a_time(sub))
+        )
+        np.testing.assert_allclose(one.gradients, two.gradients, rtol=rtol)
+        radius = np.hypot(*one.images.T)
+        expected = 1.0 / radius if entry.name == "annulus-radial" else np.ones_like(radius)
+        np.testing.assert_allclose(one.gradients, expected, rtol=rtol)
+
+
+def _named_point(message):
+    return np.array([float(v) for v in re.search(r"z=\[([^\]]*)\]", message).group(1).split()])
+
+
+def _spoiled_submersions(vectorized):
+    """Angle submersions of the polar nodes, spoiled where the angle exceeds 0.5."""
+    angle = lambda z: np.arctan2(z[..., 1], z[..., 0])[..., None]
+    far = lambda z: angle(z) > 0.5
+
+    def jac(z):
+        rr = z[..., 0] ** 2 + z[..., 1] ** 2
+        return np.stack([-z[..., 1] / rr, z[..., 0] / rr], -1)[..., None, :]
+
+    def sub(map_, jacobian):
+        spoiled = Submersion(n=2, k=1, map=map_, jacobian=jacobian, vectorized=True)
+        return spoiled if vectorized else one_point_at_a_time(spoiled)
+
+    nan_map = lambda z: np.where(far(z), np.nan, angle(z))
+    nan_jac = lambda z: np.where(far(z)[..., None], np.nan, jac(z))
+    if vectorized:
+        wide_map = lambda z: np.concatenate([angle(z), angle(z)], -1)
+        wide_jac = lambda z: np.concatenate([jac(z), jac(z)], -2)
+    else:
+        wide_map = lambda z: np.concatenate([angle(z), angle(z)], -1) if far(z).all() else angle(z)
+        wide_jac = lambda z: np.concatenate([jac(z), jac(z)], -2) if far(z).all() else jac(z)
+    return {
+        "nan map": sub(nan_map, None),
+        "nan jacobian": sub(angle, nan_jac),
+        "misshapen map": sub(wide_map, None),
+        "misshapen jacobian": sub(angle, wide_jac),
+    }
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per-point"])
+def test_batch_with_a_bad_submersion_value_raises(vectorized):
+    fam = _polar(True)
+    first_bad = node_fields(fam, NODES_X, NODES_Y, images=True).images[2]
+    for label, sub in _spoiled_submersions(vectorized).items():
+        with pytest.raises(EvaluationFailure) as err:
+            node_fields(fam, NODES_X, NODES_Y, submersion=sub)
+        message = str(err.value)
+        if vectorized and label.startswith("misshapen"):
+            expected = "(4, 2)" if label == "misshapen map" else "(4, 2, 2)"
+            assert expected in message, label
+            continue
+        # finite differences name the stencil point, a step away from the node
+        np.testing.assert_allclose(_named_point(message), first_bad, atol=1e-4, err_msg=label)
+
+
+def test_batched_probe_rejects_a_mismatched_pair(monkeypatch):
+    quad = QuadratureScheme(order=4, subdivisions=1)
+    radial = make_polar_annulus(1.0, 2.0, mode="radial")
+    circular = make_polar_annulus(1.0, 2.0, mode="circular")
+    radius = circular.submersion
+    for sub in (radius, one_point_at_a_time(radius), replace(radius, jacobian=None)):
+        with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
+            submersion_modulus(sub, radial.family, 2.0, quad)
+    circles = catalog._annulus_circular
+    swapped = lambda inner, outer: replace(circles(inner, outer), submersion=radial.submersion)
+    monkeypatch.setattr(catalog, "_annulus_circular", swapped)
+    with pytest.raises(InconsistentSubmersion, match="catalog entry 'annulus-circular'"):
+        make_polar_annulus(1.0, 2.0, mode="radial")
+
+
+def test_batched_probe_names_a_vanishing_area_factor():
+    # the surface direction is mapped to zero, so the area factor vanishes
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    fam, _ = linear_twins(a, BoxDomain([0.0], [1.0]), BoxDomain([0.0], [1.0]))
+    sub, _ = submersion_twins(np.array([[1.0, 0.0]]))
+    with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.25], y=[0.25]")):
+        family._probe_key_relation(fam, sub, 1e-5, "flat")
+
+
+def test_key_relation_residual_matches_the_reference():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(1, n))
+        a = well_conditioned(rng, n)
+        b = rng.normal(size=(n - m, n))  # unrelated to a: the residual is of order one
+        expected = abs(minor_sum_norm(a[:, n - m :]) - abs(np.linalg.det(a)) * minor_sum_norm(b))
+        expected /= minor_sum_norm(a[:, n - m :])
+        fams = linear_twins(a, _box(rng, n - m), _box(rng, m))
+        x, y = random_nodes(rng, fams[0], 3)
+        for fam in fams:
+            for sub in submersion_twins(b):
+                batch = family._key_relation_residuals(fam, sub, x, y)
+                np.testing.assert_allclose(batch, expected, rtol=1e-13)
+                for i in range(len(x)):
+                    assert key_relation_residual(fam, sub, x[i], y[i]) == batch[i]
+    # consistent catalog pairs keep their vanishing residual
+    consistent = (make_parallel([(0.0, 2.0), (1.0, 2.0)], [(0.0, 3.0)]), make_polar_annulus(1.0, 2.0))
+    for entry in consistent:
+        x, y = random_nodes(rng, entry.family, 10)
+        assert family._key_relation_residuals(entry.family, entry.submersion, x, y).max() < 1e-14
