@@ -92,7 +92,7 @@ def _bounds(box: BoxDomain) -> list:
 
 def _constant(matrix):
     """Vectorized Jacobian that is ``matrix`` at every node, for a family
-    (called with x, y) or a submersion (called with z)."""
+    (called with x, y), a submersion or an ambient map (called with z)."""
     matrix = np.asarray(matrix, dtype=float)
     return lambda w, *_: np.broadcast_to(matrix, w.shape[:-1] + matrix.shape)
 
@@ -471,7 +471,9 @@ def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) ->
             sy = float(params.get("sy", 1.0))
             base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
             diag = np.array([[sx, 0.0], [0.0, sy]])
-            outer = AmbientMap(n=2, map=lambda z: diag @ z, jacobian=lambda z: diag)
+            outer = AmbientMap(
+                n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag), vectorized=True
+            )
             # Unit flat surfaces stretched by diag(sx, sy) all weigh
             # l = sx^(1-q) sy, and (1-q)(1-p) = 1 gives sx sy^(1-p).
             return replace(

@@ -180,11 +180,15 @@ class AmbientMap:
     """Diffeomorphism of R^n used to push a family forward.
 
     ``map(z) -> array of shape (n,)``; optional ``jacobian(z) -> (n, n)``.
+    With ``vectorized`` both broadcast over leading axes, z of shape
+    (..., n) giving (..., n) and (..., n, n), as for
+    :class:`ParametrizedFamily`.
     """
 
     n: int
     map: Callable
     jacobian: Callable | None = None
+    vectorized: bool = False
 
 
 def _point(vec, dim: int, label: str) -> np.ndarray:
@@ -461,20 +465,43 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
 
     The image family keeps the same parameter and surface boxes; its map
     is the composition, and when both factors carry analytic Jacobians
-    the chain rule provides one for the composition too.
+    the chain rule provides one for the composition too, otherwise
+    finite differences do.  The image family is always vectorized: each
+    factor is evaluated under its own ``vectorized`` flag, a per-point
+    one once per node, and a misshapen or non-finite value of either
+    names the first offending node.
     """
     if outer.n != fam.n:
         raise ValueError(
             f"ambient map acts on R^{outer.n} but the family lives in R^{fam.n}"
         )
+    n, k = fam.n, fam.n - fam.m
+
+    def outer_values(fn, x, y, z, shape, label):
+        return _evaluate(lambda x, y, z: fn(z), outer.vectorized, (x, y, z), shape, label, "xyz")
+
+    def batched(fn):
+        # Flatten the leading axes of x and y to one batch axis and back.
+        def wrapper(x, y):
+            x = np.asarray(x, dtype=float)
+            out = fn(x.reshape(-1, k), np.asarray(y, dtype=float).reshape(-1, fam.m))
+            return out.reshape(x.shape[:-1] + out.shape[1:])
+
+        return wrapper
 
     def composed(x, y):
-        return np.asarray(outer.map(evaluate_map(fam, x, y)), dtype=float)
+        z = _stacked_map(fam, x, y)
+        return outer_values(outer.map, x, y, z, (n,), "ambient map")
 
-    jac = None
-    if fam.jacobian is not None and outer.jacobian is not None:
-        def jac(x, y, _fam=fam, _outer=outer):
-            z = evaluate_map(_fam, x, y)
-            return np.asarray(_outer.jacobian(z), dtype=float) @ jacobian_full(_fam, x, y)
+    def jac(x, y):
+        z = _stacked_map(fam, x, y)
+        outer_jac = outer_values(outer.jacobian, x, y, z, (n, n), "ambient jacobian")
+        return outer_jac @ _jacobian_columns(fam, x, y)
 
-    return replace(fam, map=composed, jacobian=jac, vectorized=False)
+    analytic = fam.jacobian is not None and outer.jacobian is not None
+    return replace(
+        fam,
+        map=batched(composed),
+        jacobian=batched(jac) if analytic else None,
+        vectorized=True,
+    )

@@ -252,7 +252,6 @@ class ExtremalDensity:
         self.inverse = inverse
         self._floor = jacobian_floor(family)
         self._inner_nodes, self._inner_weights = quad.box_rule(family.surface_box)
-        self._cache: dict[bytes, float] = {}
         self._interp = None
         if tabulate:
             self._build_table(table_points)
@@ -277,22 +276,21 @@ class ExtremalDensity:
             axis[-1] -= pad
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = self._compute_l(points).reshape([table_points] * box.dim)
+        values = self._l_values(points).reshape([table_points] * box.dim)
         self._interp = RegularGridInterpolator(axes, values, method="linear")
 
-    def _compute_l(self, x_nodes):
+    def _l_values(self, x_nodes):
+        """Surface weights at the rows of ``x_nodes``, in one kernel call or,
+        once tabulated, one interpolation."""
+        if self._interp is not None:
+            return self._interp(x_nodes)
         nodes, weights = self._inner_nodes, self._inner_weights
         return _surface_weights(self.family, x_nodes, self.q, nodes, weights, self._floor)[0]
 
     def l_value(self, x) -> float:
         """Surface weight l(x), interpolated if tabulation was requested."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._interp is not None:
-            return float(self._interp(x)[0])
-        key = x.tobytes()
-        if key not in self._cache:
-            self._cache[key] = float(self._compute_l(x[None])[0])
-        return self._cache[key]
+        return float(self._l_values(x[None])[0])
 
     # -- evaluation ----------------------------------------------------
 
@@ -307,7 +305,7 @@ class ExtremalDensity:
         (len(x_nodes), len(y_nodes)) array, with the node fields behind it."""
         x, y = _tensor_pairs(x_nodes, y_nodes)
         fields = node_fields(self.family, x, y, floor=self._floor)
-        l_vals = np.array([self.l_value(point) for point in x_nodes])
+        l_vals = self._l_values(x_nodes)
         with np.errstate(over="ignore"):
             values = (fields.areas / fields.dets) ** (self.q - 1.0)
             values = values.reshape(len(x_nodes), len(y_nodes)) / l_vals[:, None]
@@ -396,7 +394,7 @@ def extremal_density(
     (x, y) of parameter coordinates with map(x, y) = z.  With
     ``tabulate=True`` the surface weight l is precomputed on a uniform
     grid of ``table_points`` per axis and evaluated by linear
-    interpolation; by default it is recomputed (and cached) on demand.
+    interpolation; by default it is recomputed on demand.
     """
     return ExtremalDensity(
         fam, p, quad, inverse=inverse, tabulate=tabulate, table_points=table_points

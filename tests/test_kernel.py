@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from surfmod import (
+    AmbientMap,
     BoxDomain,
     DegenerateJacobian,
     EvaluationFailure,
@@ -14,13 +15,16 @@ from surfmod import (
     ParametrizedFamily,
     QuadratureScheme,
     Submersion,
+    build_entry,
     catalog,
+    compose,
     discretize_family,
     family,
     key_relation_residual,
     make_parallel,
     make_polar_annulus,
     make_shear,
+    modulus_p,
     node_fields,
     submersion_modulus,
 )
@@ -175,12 +179,13 @@ def test_batch_with_a_non_finite_node_raises():
             node_fields(fam, NODES_X, NODES_Y, images=True)
 
 
-def test_batch_with_a_misshapen_node_raises():
-    def short_where_far(x, y, z):
-        return z[:1] if x[0] > 0.5 else z
+def _short_where_far(x, y, z):
+    return z[:1] if x[0] > 0.5 else z
 
+
+def test_batch_with_a_misshapen_node_raises():
     with pytest.raises(EvaluationFailure, match=FIRST_BAD):
-        node_fields(_polar(False, short_where_far), NODES_X, NODES_Y, images=True)
+        node_fields(_polar(False, _short_where_far), NODES_X, NODES_Y, images=True)
     with pytest.raises(EvaluationFailure, match=re.escape("(4, 3)")):
         node_fields(
             _polar(True, lambda x, y, z: np.concatenate([z, z[..., :1]], -1)),
@@ -382,3 +387,107 @@ def test_key_relation_residual_matches_the_reference():
     for entry in consistent:
         x, y = random_nodes(rng, entry.family, 10)
         assert family._key_relation_residuals(entry.family, entry.submersion, x, y).max() < 1e-14
+
+
+# -- compose: both factors through the kernel ---------------------------
+
+
+def _bend(z):
+    return np.stack([z[..., 0] + 0.1 * z[..., 1] ** 2, z[..., 1] + 0.2 * np.sin(z[..., 0])], -1)
+
+
+def _bend_jacobian(z):
+    one, zero = np.ones(z.shape[:-1]), np.zeros(z.shape[:-1])
+    return np.stack(
+        [np.stack([one, 0.2 * z[..., 1]], -1), np.stack([0.2 * np.cos(z[..., 0]), one], -1)], -2
+    )
+
+
+def _bend_outer(vectorized, map_=_bend, jacobian=_bend_jacobian):
+    return AmbientMap(n=2, map=map_, jacobian=jacobian, vectorized=vectorized)
+
+
+def compose_one_point_at_a_time(fam, outer):
+    """The composition node by node, through the per-point functions."""
+    inner = lambda x, y: family.evaluate_map(fam, x, y)
+    jac = None
+    if fam.jacobian is not None and outer.jacobian is not None:
+        jac = lambda x, y: outer.jacobian(inner(x, y)) @ family.jacobian_full(fam, x, y)
+    return replace(fam, map=lambda x, y: outer.map(inner(x, y)), jacobian=jac, vectorized=False)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_compose_matches_the_per_point_composition(analytic):
+    rtol = 1e-14 if analytic else 1e-9
+    x, y = random_nodes(np.random.default_rng(11), _polar(True), 20)
+    reference = compose_one_point_at_a_time(_polar(False), _bend_outer(False))
+    if not analytic:
+        reference = replace(reference, jacobian=None)
+    expected = node_fields(reference, x, y, images=True)
+    expected_jac = family._jacobian_columns(reference, x, y)
+    for inner_vec in (True, False):
+        for outer_vec in (True, False):
+            inner = _polar(inner_vec)
+            if not analytic:
+                inner = replace(inner, jacobian=None)
+            image = compose(inner, _bend_outer(outer_vec))
+            assert image.vectorized and (image.jacobian is None) != analytic
+            fields = node_fields(image, x, y, images=True)
+            for got, want in zip(fields[:3], expected[:3]):
+                np.testing.assert_allclose(got, want, rtol=rtol)
+            got_jac = family._jacobian_columns(image, x, y)
+            np.testing.assert_allclose(got_jac, expected_jac, rtol=rtol, atol=rtol)
+    # the composed map broadcasts over leading axes, none included
+    assert image.map(x[0], y[0]).shape == (2,)
+    assert image.map(x.reshape(4, 5, 1), y.reshape(4, 5, 1)).shape == (4, 5, 2)
+
+
+def test_compose_jacobian_needs_both_factors():
+    assert compose(_polar(True), _bend_outer(True, jacobian=None)).jacobian is None
+    assert compose(replace(_polar(True), jacobian=None), _bend_outer(True)).jacobian is None
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])
+def test_condenser_matches_its_closed_form(p):
+    quad = QuadratureScheme(order=4, subdivisions=2)
+    for sx, sy in ((2.0, 1.0), (1.7, 0.6), (0.55, 1.9)):
+        entry = build_entry("condenser", {"sx": sx, "sy": sy})
+        expected = sx * sy ** (1.0 - p)
+        assert modulus_p(entry.family, p, quad).modulus == pytest.approx(expected, rel=1e-12)
+        fd = replace(entry.family, jacobian=None)
+        assert modulus_p(fd, p, quad).modulus == pytest.approx(expected, rel=1e-9)
+
+
+def _spoiled_outer(vectorized, spoil):
+    """The bend, spoiled by ``spoil(z, value)`` where the polar angle of z exceeds 0.5."""
+    far = lambda z: np.arctan2(z[..., 1], z[..., 0]) > 0.5
+    return {
+        "map": _bend_outer(vectorized, map_=lambda z: spoil(far(z), _bend(z))),
+        "jacobian": _bend_outer(vectorized, jacobian=lambda z: spoil(far(z), _bend_jacobian(z))),
+    }
+
+
+def _nan_where(far, value):
+    return np.where(far.reshape(far.shape + (1,) * (value.ndim - far.ndim)), np.nan, value)
+
+
+def test_compose_names_the_first_bad_node_of_either_factor():
+    spoiled_inner = [_polar(True, _nan_where_far), _polar(False, _nan_where_far)]
+    for inner in spoiled_inner + [_polar(False, _short_where_far)]:
+        with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+            node_fields(compose(inner, _bend_outer(True)), NODES_X, NODES_Y)
+    widen = lambda far, value: np.concatenate([value, value], 0) if far.all() else value
+    spoiled_outer = [
+        *_spoiled_outer(True, _nan_where).values(),
+        *_spoiled_outer(False, _nan_where).values(),
+        *_spoiled_outer(False, widen).values(),
+    ]
+    for outer in spoiled_outer:
+        with pytest.raises(EvaluationFailure, match=FIRST_BAD):
+            node_fields(compose(_polar(True), outer), NODES_X, NODES_Y, images=True)
+    # a vectorized factor's misshapen batch has no first bad node
+    widen_all = lambda far, value: np.concatenate([value, value], -1)
+    for label, outer in _spoiled_outer(True, widen_all).items():
+        shape = "(4, 4)" if label == "map" else "(4, 2, 4)"
+        with pytest.raises(EvaluationFailure, match=re.escape(shape)):
+            node_fields(compose(_polar(True), outer), NODES_X, NODES_Y, images=True)

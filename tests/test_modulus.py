@@ -182,6 +182,33 @@ def test_extremal_density_tabulated():
         )
 
 
+def test_extremal_density_keeps_no_per_query_state():
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
+    density = extremal_density(entry.family, 2.0, QuadratureScheme(order=6, subdivisions=1))
+    rng = np.random.default_rng(4)
+    radius = rng.uniform(1.05, 1.95, 200)
+    angle = rng.uniform(0.05, 2.0 * np.pi - 0.05, 200)
+    points = np.stack([radius * np.cos(angle), radius * np.sin(angle)], -1)
+
+    def footprint():
+        # attribute names, with the size of every array or container
+        return {
+            name: (
+                value.size if isinstance(value, np.ndarray)
+                else len(value) if hasattr(value, "__len__")
+                else type(value)
+            )
+            for name, value in vars(density).items()
+        }
+
+    first = density.evaluate_ambient(points[0])
+    after_one = footprint()
+    for z in points[1:]:
+        density.evaluate_ambient(z)
+    assert footprint() == after_one
+    assert density.evaluate_ambient(points[0]) == first
+
+
 def test_inversion_failure_outside_image():
     entry = make_parallel([(0.0, 1.0)], [(0.0, 1.0)])
     density = extremal_density(entry.family, 2.0, QUAD)
