@@ -24,11 +24,14 @@ import ctypes
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import family
 from .errors import InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
+from .family import ParametrizedFamily, _jacobian_columns, _stacked_map, _tensor_pairs
+from .linalg import stacked_norm
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
@@ -59,12 +62,39 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+class _Rows(NamedTuple):
+    """Surface weights in compressed-row form: the cells and weights of
+    surface s are ``indices[indptr[s]:indptr[s + 1]]`` and the same slice
+    of ``data``."""
+
+    indices: np.ndarray
+    data: np.ndarray
+    indptr: np.ndarray
+
+
+def _compressed_rows(surfaces) -> tuple:
+    """(cell_indices, weights) pairs as _Rows, up to the first misshapen
+    pair, and that pair's position (inf if there is none)."""
+    pairs = [(np.asarray(i, dtype=int), np.asarray(w, dtype=float)) for i, w in surfaces]
+    shapes = [i.shape == w.shape and i.ndim == 1 for i, w in pairs]
+    misshapen = shapes.index(False) if False in shapes else np.inf
+    pairs = pairs[: len(pairs) if misshapen == np.inf else misshapen]
+    rows = _Rows(
+        np.concatenate([np.zeros(0, dtype=int)] + [i for i, _ in pairs]),
+        np.concatenate([np.zeros(0)] + [w for _, w in pairs]),
+        np.cumsum([0] + [i.size for i, _ in pairs]),
+    )
+    return rows, misshapen
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteModulusProblem:
     """Cell grid plus per-surface cell weights for the discrete program.
 
     ``surfaces`` is a tuple of (cell_indices, weights) pairs, one per
-    surface, referring to rows of ``centers``.
+    surface, referring to rows of ``centers``.  The pairs are views into
+    one compressed sparse row (CSR) copy of the weights, which
+    :meth:`constraint_matrix` wraps without copying.
     """
 
     p: float
@@ -82,18 +112,43 @@ class DiscreteModulusProblem:
             raise ValueError("cell volumes must be positive")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", volumes)
-        cleaned = []
-        for idx, w in self.surfaces:
-            idx = np.asarray(idx, dtype=int)
-            w = np.asarray(w, dtype=float)
-            if idx.shape != w.shape or idx.ndim != 1:
-                raise ValueError("each surface needs matching index and weight arrays")
-            if idx.size and (idx.min() < 0 or idx.max() >= centers.shape[0]):
-                raise ValueError("surface refers to a cell outside the grid")
-            if np.any(w < 0.0):
-                raise ValueError("surface weights must be nonnegative")
-            cleaned.append((idx, w))
-        object.__setattr__(self, "surfaces", tuple(cleaned))
+        if isinstance(self.surfaces, _Rows):
+            rows, misshapen = self.surfaces, np.inf
+        else:
+            rows, misshapen = _compressed_rows(self.surfaces)
+
+        def first(bad):
+            """The surface holding the first flagged entry (inf if none)."""
+            if not bad.any():
+                return np.inf
+            return int(np.searchsorted(rows.indptr, np.argmax(bad), side="right")) - 1
+
+        # The fault of the lowest surface wins, in the order each surface
+        # is checked: shape, then cell range, then sign.
+        faults = [
+            (misshapen, 0, "each surface needs matching index and weight arrays"),
+            (first((rows.indices < 0) | (rows.indices >= len(volumes))), 1,
+             "surface refers to a cell outside the grid"),
+            (first(rows.data < 0.0), 2, "surface weights must be nonnegative"),
+        ]
+        surface, _, message = min(faults)
+        if surface < np.inf:
+            raise ValueError(message)
+        # The index type scipy.sparse picks for these sizes, so that
+        # constraint_matrix shares the arrays instead of converting them.
+        fits = max(len(volumes), int(rows.indptr[-1])) <= np.iinfo(np.int32).max
+        index_type = np.int32 if fits else np.int64
+        rows = _Rows(
+            np.ascontiguousarray(rows.indices, dtype=index_type),
+            np.ascontiguousarray(rows.data, dtype=float),
+            np.ascontiguousarray(rows.indptr, dtype=index_type),
+        )
+        bounds = rows.indptr.tolist()
+        surfaces = tuple(
+            (rows.indices[a:b], rows.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "surfaces", surfaces)
 
     @property
     def cell_count(self) -> int:
@@ -104,14 +159,11 @@ class DiscreteModulusProblem:
         return len(self.surfaces)
 
     def constraint_matrix(self) -> "scipy.sparse.csr_matrix":
-        """Sparse surface-by-cell weight matrix."""
+        """Sparse surface-by-cell weight matrix, sharing the problem's arrays."""
         import scipy.sparse
 
-        idx = [np.zeros(0, dtype=int)] + [i for i, _ in self.surfaces]
-        vals = [np.zeros(0)] + [w for _, w in self.surfaces]
-        rows = np.repeat(np.arange(self.surface_count), [i.size for i in idx[1:]])
         return scipy.sparse.csr_matrix(
-            (np.concatenate(vals), (rows, np.concatenate(idx))),
+            (self._rows.data, self._rows.indices, self._rows.indptr),
             shape=(self.surface_count, self.cell_count),
         )
 
@@ -256,30 +308,49 @@ def discretize_family(
     per_surface = y_base.shape[0]
     block = max(1, _SAMPLE_BLOCK // per_surface)
     n_cells = centers.shape[0]
-    surfaces = []
+    indices, data, counts = [], [], []
     for start in range(0, len(x_values), block):
         x_block = x_values[start : start + block]
         y_points = np.broadcast_to(y_base, (len(x_block),) + y_base.shape)
         if rng is not None:
             y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
         x_points = np.repeat(x_block, per_surface, axis=0)
-        fields = node_fields(fam, x_points, y_points.reshape(-1, fam.m), images=True)
-        keep = fields.areas != 0.0
-        idx = ((fields.images[keep] - box_lo) / cell_widths).astype(int)
+        areas, images = _areas_and_images(fam, x_points, y_points.reshape(-1, fam.m))
+        keep = areas != 0.0
+        idx = ((images[keep] - box_lo) / cell_widths).astype(int)
         flat = np.ravel_multi_index(tuple(np.clip(idx, 0, cells_per_axis - 1).T), shape)
         surface = np.repeat(np.arange(len(x_block)), per_surface)[keep]
         # Bin by (surface, cell) key; bincount sums each bin in sample order.
         keys, inverse = np.unique(surface * n_cells + flat, return_inverse=True)
-        weights = np.bincount(inverse, weights=fields.areas[keep] * sample_volume)
+        weights = np.bincount(inverse, weights=areas[keep] * sample_volume)
         keys, weights = keys[weights != 0.0], weights[weights != 0.0]
-        bounds = np.searchsorted(keys // n_cells, np.arange(len(x_block) + 1))
-        surfaces.extend(
-            (keys[a:b] % n_cells, weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-        )
+        indices.append(keys % n_cells)
+        data.append(weights)
+        counts.append(np.bincount(keys // n_cells, minlength=len(x_block)))
 
-    return DiscreteModulusProblem(
-        p=float(p), centers=centers, volumes=volumes, surfaces=tuple(surfaces)
+    rows = _Rows(
+        np.concatenate(indices),
+        np.concatenate(data),
+        np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
     )
+    return DiscreteModulusProblem(p=float(p), centers=centers, volumes=volumes, surfaces=rows)
+
+
+def _areas_and_images(fam: ParametrizedFamily, x, y) -> tuple:
+    """Area factors (N,) and images (N, n) at the paired nodes.
+
+    The y-block of J alone, so no |det J| and, for a finite-difference
+    family, only m difference columns.  Kernel calls take at most
+    ``family._CHUNK`` nodes; each checks shape and finiteness and names
+    the first bad node.
+    """
+    k = fam.n - fam.m
+    areas, images = [], []
+    for i in range(0, len(x), family._CHUNK):
+        xs, ys = x[i : i + family._CHUNK], y[i : i + family._CHUNK]
+        areas.append(stacked_norm(_jacobian_columns(fam, xs, ys, slice(k, None))))
+        images.append(_stacked_map(fam, xs, ys))
+    return np.concatenate(areas), np.concatenate(images)
 
 
 def solve_discrete(
@@ -295,10 +366,14 @@ def solve_discrete(
     multiplier-combined surface load), so it is maximized with a
     bound-constrained quasi-Newton iteration; the resulting density is
     rescaled by the smallest constraint margin to restore feasibility.
-    The default ``tol`` leaves headroom for the rescale step, which
-    amplifies the iteration's final stationarity defect on problems with
-    many redundant constraints.  The iteration runs with OpenBLAS limited
-    to one thread (see ``_one_blas_thread``).
+    The iteration returns as soon as the relative gap between that
+    rescaled density's objective and the dual value is at most ``tol``,
+    so the objective is within ``tol`` of the discrete optimum but not
+    tighter: it may differ from a longer run's by up to ``tol``.  The
+    default ``tol`` leaves headroom for the rescale step, which amplifies
+    the iteration's stationarity defect on problems with many redundant
+    constraints.  The iteration runs with OpenBLAS limited to one thread
+    (see ``_one_blas_thread``).
 
     Raises
     ------
@@ -312,24 +387,49 @@ def solve_discrete(
 
     p = problem.p
     q = conjugate_exponent(p)
-    for s, (_, w) in enumerate(problem.surfaces):
-        if w.sum() <= 0.0:
-            raise InfeasibleSurface(
-                f"surface {s} has zero total weight; its constraint cannot be met"
-            )
     a = problem.constraint_matrix()
+    empty = np.flatnonzero(a @ np.ones(problem.cell_count) <= 0.0)
+    if empty.size:
+        raise InfeasibleSurface(
+            f"surface {empty[0]} has zero total weight; its constraint cannot be met"
+        )
     a_t = a.T  # built once: each a.T makes a new sparse wrapper
     volumes = problem.volumes
     exponent = 1.0 / (p - 1.0)
+    last = []  # multipliers and margins of the latest dual evaluation
+
+    def density_of(lam):
+        return (a_t @ lam / (p * volumes)) ** exponent
 
     def negative_dual(lam):
-        load = a_t @ lam
-        density = (load / (p * volumes)) ** exponent
-        margins = a @ density
+        margins = a @ density_of(lam)
+        last[:] = [lam, margins]
         # load @ density, summed over surfaces rather than cells: fewer
         # terms, and exactly invariant under a permutation of the cells.
         value = lam.sum() - (lam @ margins) / q
         return -value, margins - 1.0
+
+    def certificate(lam, margins):
+        """Relative gap, objective of the rescaled density, dual value.
+
+        At margins m = A density(lam), sum_c volume_c density_c^p is
+        (lam . m) / p, so no further sparse product is needed.
+        """
+        smallest = float(margins.min()) if margins.size else 0.0
+        energy = float(lam @ margins)
+        lower = float(lam.sum()) - energy / q
+        if not smallest > 0.0:
+            return np.inf, np.inf, lower
+        objective = energy / (p * smallest**p)
+        gap = (objective - lower) / objective if objective > 0.0 else np.inf
+        return gap, objective, lower
+
+    def stop_when_certified(intermediate_result):
+        # L-BFGS-B reports an iterate right after evaluating the dual
+        # there, so the latest evaluation is that iterate's; the
+        # acceptance test below repeats the certificate at result.x.
+        if certificate(*last)[0] <= tol:
+            raise StopIteration
 
     # A restart wipes the quasi-Newton memory, which often unsticks the
     # iteration when it halts a hair above tolerance.
@@ -345,6 +445,7 @@ def solve_discrete(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=[(0.0, None)] * problem.surface_count,
+                callback=stop_when_certified,
                 options={
                     "maxiter": max_iters,
                     "maxfun": max(20 * max_iters, 15000),
@@ -354,18 +455,16 @@ def solve_discrete(
             )
         lam = result.x
         total_iters += int(result.nit)
-        load = a_t @ lam
-        density = (load / (p * volumes)) ** exponent
+        density = density_of(lam)
         margins = a @ density
         smallest = float(margins.min()) if margins.size else 0.0
         if not smallest > 0.0:
             raise NoConvergence(
                 "dual iteration produced a density with a vanishing constraint margin"
             )
+        # The same certificate that ends the iteration accepts its result.
+        gap, objective, lower = certificate(lam, margins)
         density = density / smallest
-        objective = float(volumes @ density**p)
-        lower = float(-result.fun)
-        gap = (objective - lower) / objective if objective > 0.0 else np.inf
         violation = float(max(0.0, 1.0 - (a @ density).min()))
         if gap <= tol and violation <= tol:
             return DiscreteSolution(

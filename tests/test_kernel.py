@@ -237,6 +237,46 @@ def test_discretize_twins_agree():
                 np.testing.assert_allclose(w1, w2, rtol=1e-14)
 
 
+def _node_fields_kernel(fam, x, y):
+    fields = node_fields(fam, x, y, images=True)
+    return fields.areas, fields.images
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_discretize_matches_the_node_fields_reference(monkeypatch, analytic):
+    from surfmod import oracle
+
+    rng = np.random.default_rng(43)
+    cases = [
+        (shear_twins(rng, 1, 1)[0], 24, 32),
+        (make_polar_annulus(1.0, 2.0, mode="circular").family, 24, 32),
+        # m = 2 with 257^2 samples per surface, more than one kernel chunk
+        (shear_twins(rng, 1, 2)[0], 2, 257),
+    ]
+    for fam, surfaces, samples in cases:
+        fam = fam if analytic else replace(fam, jacobian=None)
+        batches = []
+
+        def recording(fn):
+            def wrapper(x, y):
+                batches.append(len(x))
+                return fn(x, y)
+
+            return None if fn is None else wrapper
+
+        counted = replace(fam, map=recording(fam.map), jacobian=recording(fam.jacobian))
+        got = discretize_family(counted, 2.0, 6, surfaces, samples, rng=np.random.default_rng(9))
+        with monkeypatch.context() as patched:
+            patched.setattr(oracle, "_areas_and_images", _node_fields_kernel)
+            want = discretize_family(fam, 2.0, 6, surfaces, samples, rng=np.random.default_rng(9))
+        assert max(batches) <= family._CHUNK
+        assert len(got.surfaces) == len(want.surfaces)
+        for (i1, w1), (i2, w2) in zip(got.surfaces, want.surfaces):
+            np.testing.assert_array_equal(i1, i2)
+            np.testing.assert_array_equal(w1, w2)
+    assert max(batches) == family._CHUNK
+
+
 def submersion_twins(b, analytic=True):
     """The linear submersion z -> b z as a vectorized and a per-point one."""
     k, n = b.shape

@@ -13,6 +13,7 @@ from surfmod import (
     discretize_family,
     make_parallel,
     make_polar_annulus,
+    make_shear,
     solve_discrete,
 )
 
@@ -64,6 +65,47 @@ def test_problem_validation():
         )
 
 
+def test_validation_reports_the_first_faulty_surface():
+    # the fault of the lowest surface wins, checked as shape, range, sign
+    def problem(*surfaces):
+        return DiscreteModulusProblem(
+            p=2.0, centers=[[0.0], [1.0]], volumes=[1.0, 1.0], surfaces=surfaces
+        )
+
+    good = (np.array([0, 1]), np.array([1.0, 1.0]))
+    negative = (np.array([0]), np.array([-1.0]))
+    outside = (np.array([2]), np.array([1.0]))
+    misshapen = (np.array([0, 1]), np.array([1.0]))
+    cases = [
+        ((good, negative, outside), "nonnegative"),
+        ((good, outside, negative), "outside the grid"),
+        ((negative, misshapen), "nonnegative"),
+        ((misshapen, outside), "matching index and weight"),
+        ((good, (np.array([2]), np.array([-1.0]))), "outside the grid"),
+    ]
+    for surfaces, message in cases:
+        with pytest.raises(ValueError, match=message):
+            problem(*surfaces)
+
+
+def test_surfaces_are_views_into_the_constraint_matrix():
+    import scipy.sparse
+
+    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[0.5]]).family
+    discretized = discretize_family(fam, 3.0, 8, 24, 32, rng=np.random.default_rng(2))
+    for problem in (discretized, random_problem(np.random.default_rng(4))):
+        a = problem.constraint_matrix()
+        for idx, w in problem.surfaces:
+            assert np.shares_memory(idx, a.indices) and np.shares_memory(w, a.data)
+        # the per-surface (row, column, value) assembly
+        sizes = [idx.size for idx, _ in problem.surfaces]
+        rows = np.repeat(np.arange(problem.surface_count), sizes)
+        cols = np.concatenate([idx for idx, _ in problem.surfaces])
+        vals = np.concatenate([w for _, w in problem.surfaces])
+        reference = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=a.shape)
+        np.testing.assert_array_equal(a.toarray(), reference.toarray())
+
+
 def test_constraint_matrix_layout():
     problem = DiscreteModulusProblem(
         p=2.0,
@@ -82,7 +124,7 @@ def test_single_cell_closed_form():
         volumes=[0.7],
         surfaces=((np.array([0]), np.array([3.0])),),
     )
-    solution = solve_discrete(problem)
+    solution = solve_discrete(problem, tol=1e-9)
     assert solution.objective == pytest.approx(0.7 / 9.0, rel=1e-9)
     assert solution.max_constraint_violation <= 1e-10
 
@@ -100,7 +142,7 @@ def test_single_surface_matches_closed_form():
                 volumes=volumes,
                 surfaces=((np.arange(cells), weights),),
             )
-            solution = solve_discrete(problem)
+            solution = solve_discrete(problem, tol=1e-9)
             assert solution.objective == pytest.approx(
                 closed_form_single_surface(p, volumes, weights), rel=1e-8
             )
@@ -109,9 +151,22 @@ def test_single_surface_matches_closed_form():
 def test_duality_gap_certificate():
     rng = np.random.default_rng(3)
     problem = random_problem(rng)
-    solution = solve_discrete(problem)
+    solution = solve_discrete(problem, tol=1e-8)
     assert solution.lower_bound <= solution.objective + 1e-12
     assert (solution.objective - solution.lower_bound) <= 1e-8 * solution.objective
+
+
+def test_solver_stops_at_the_certified_gap():
+    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]]).family
+    problem = discretize_family(fam, 2.0, 6, 18, 24)
+    loose = solve_discrete(problem, tol=1e-6)
+    tight = solve_discrete(problem, tol=1e-10)
+    assert loose.iterations < tight.iterations
+    assert loose.objective == pytest.approx(tight.objective, rel=1e-6)
+    for solution, tol in ((loose, 1e-6), (tight, 1e-10)):
+        assert solution.lower_bound <= solution.objective
+        assert (solution.objective - solution.lower_bound) <= tol * solution.objective
+        assert solution.max_constraint_violation <= tol
 
 
 def test_more_surfaces_cannot_shrink_the_modulus():
@@ -208,6 +263,19 @@ def test_infeasible_surface_raises():
         surfaces=((np.array([], dtype=int), np.array([])),),
     )
     with pytest.raises(InfeasibleSurface):
+        solve_discrete(problem)
+    # the first weightless surface is named, empty or all zero
+    problem = DiscreteModulusProblem(
+        p=2.0,
+        centers=[[0.5]],
+        volumes=[1.0],
+        surfaces=(
+            (np.array([0]), np.array([1.0])),
+            (np.array([0]), np.array([0.0])),
+            (np.array([], dtype=int), np.array([])),
+        ),
+    )
+    with pytest.raises(InfeasibleSurface, match="surface 1 "):
         solve_discrete(problem)
 
 
