@@ -24,7 +24,6 @@ import ctypes
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,29 +61,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-class _Rows(NamedTuple):
-    """Surface weights in compressed-row form: the cells and weights of
-    surface s are ``indices[indptr[s]:indptr[s + 1]]`` and the same slice
-    of ``data``."""
+def _compressed_rows(surfaces, cells: int) -> tuple:
+    """(data, indices, indptr) of the (cell_indices, weights) pairs.
 
-    indices: np.ndarray
-    data: np.ndarray
-    indptr: np.ndarray
-
-
-def _compressed_rows(surfaces) -> tuple:
-    """(cell_indices, weights) pairs as _Rows, up to the first misshapen
-    pair, and that pair's position (inf if there is none)."""
-    pairs = [(np.asarray(i, dtype=int), np.asarray(w, dtype=float)) for i, w in surfaces]
-    shapes = [i.shape == w.shape and i.ndim == 1 for i, w in pairs]
-    misshapen = shapes.index(False) if False in shapes else np.inf
-    pairs = pairs[: len(pairs) if misshapen == np.inf else misshapen]
-    rows = _Rows(
-        np.concatenate([np.zeros(0, dtype=int)] + [i for i, _ in pairs]),
-        np.concatenate([np.zeros(0)] + [w for _, w in pairs]),
-        np.cumsum([0] + [i.size for i, _ in pairs]),
-    )
-    return rows, misshapen
+    Raises the ValueError of the first kind of fault found, checked over
+    all surfaces in the order shape, cell range, sign.  The arrays are
+    read-only and of the index type scipy.sparse picks for their sizes,
+    so a matrix built on them shares them instead of converting them.
+    """
+    pairs = []
+    for idx, w in surfaces:
+        idx, w = np.asarray(idx, dtype=int), np.asarray(w, dtype=float)
+        if idx.shape != w.shape or idx.ndim != 1:
+            raise ValueError("each surface needs matching index and weight arrays")
+        pairs.append((idx, w))
+    indices = np.concatenate([np.zeros(0, dtype=int)] + [i for i, _ in pairs])
+    data = np.concatenate([np.zeros(0)] + [w for _, w in pairs])
+    indptr = np.cumsum([0] + [i.size for i, _ in pairs])
+    if np.any((indices < 0) | (indices >= cells)):
+        raise ValueError("surface refers to a cell outside the grid")
+    if np.any(data < 0.0):
+        raise ValueError("surface weights must be nonnegative")
+    fits = max(cells, data.size) <= np.iinfo(np.int32).max
+    index_type = np.int32 if fits else np.int64
+    csr = (data, indices.astype(index_type), indptr.astype(index_type))
+    for array in csr:
+        array.setflags(write=False)
+    return csr
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +95,11 @@ class DiscreteModulusProblem:
     """Cell grid plus per-surface cell weights for the discrete program.
 
     ``surfaces`` is a tuple of (cell_indices, weights) pairs, one per
-    surface, referring to rows of ``centers``.  The pairs are views into
-    one compressed sparse row (CSR) copy of the weights, which
-    :meth:`constraint_matrix` wraps without copying.
+    surface, referring to rows of ``centers``.  The pairs are read-only
+    views into one compressed sparse row (CSR) copy of the weights, which
+    :meth:`constraint_matrix` wraps without copying.  Their cell indices
+    are int32 unless the grid or the weight count needs int64, the index
+    type scipy.sparse would pick.
     """
 
     p: float
@@ -112,42 +117,12 @@ class DiscreteModulusProblem:
             raise ValueError("cell volumes must be positive")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", volumes)
-        if isinstance(self.surfaces, _Rows):
-            rows, misshapen = self.surfaces, np.inf
-        else:
-            rows, misshapen = _compressed_rows(self.surfaces)
-
-        def first(bad):
-            """The surface holding the first flagged entry (inf if none)."""
-            if not bad.any():
-                return np.inf
-            return int(np.searchsorted(rows.indptr, np.argmax(bad), side="right")) - 1
-
-        # The fault of the lowest surface wins, in the order each surface
-        # is checked: shape, then cell range, then sign.
-        faults = [
-            (misshapen, 0, "each surface needs matching index and weight arrays"),
-            (first((rows.indices < 0) | (rows.indices >= len(volumes))), 1,
-             "surface refers to a cell outside the grid"),
-            (first(rows.data < 0.0), 2, "surface weights must be nonnegative"),
-        ]
-        surface, _, message = min(faults)
-        if surface < np.inf:
-            raise ValueError(message)
-        # The index type scipy.sparse picks for these sizes, so that
-        # constraint_matrix shares the arrays instead of converting them.
-        fits = max(len(volumes), int(rows.indptr[-1])) <= np.iinfo(np.int32).max
-        index_type = np.int32 if fits else np.int64
-        rows = _Rows(
-            np.ascontiguousarray(rows.indices, dtype=index_type),
-            np.ascontiguousarray(rows.data, dtype=float),
-            np.ascontiguousarray(rows.indptr, dtype=index_type),
-        )
-        bounds = rows.indptr.tolist()
+        data, indices, indptr = _compressed_rows(self.surfaces, len(volumes))
+        bounds = indptr.tolist()
         surfaces = tuple(
-            (rows.indices[a:b], rows.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+            (indices[a:b], data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
         )
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_csr", (data, indices, indptr))
         object.__setattr__(self, "surfaces", surfaces)
 
     @property
@@ -163,7 +138,7 @@ class DiscreteModulusProblem:
         import scipy.sparse
 
         return scipy.sparse.csr_matrix(
-            (self._rows.data, self._rows.indices, self._rows.indptr),
+            self._csr,
             shape=(self.surface_count, self.cell_count),
         )
 
@@ -308,7 +283,7 @@ def discretize_family(
     per_surface = y_base.shape[0]
     block = max(1, _SAMPLE_BLOCK // per_surface)
     n_cells = centers.shape[0]
-    indices, data, counts = [], [], []
+    surfaces = []
     for start in range(0, len(x_values), block):
         x_block = x_values[start : start + block]
         y_points = np.broadcast_to(y_base, (len(x_block),) + y_base.shape)
@@ -324,16 +299,15 @@ def discretize_family(
         keys, inverse = np.unique(surface * n_cells + flat, return_inverse=True)
         weights = np.bincount(inverse, weights=areas[keep] * sample_volume)
         keys, weights = keys[weights != 0.0], weights[weights != 0.0]
-        indices.append(keys % n_cells)
-        data.append(weights)
-        counts.append(np.bincount(keys // n_cells, minlength=len(x_block)))
+        cells = keys % n_cells
+        bounds = np.searchsorted(keys // n_cells, np.arange(len(x_block) + 1)).tolist()
+        surfaces.extend(
+            (cells[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        )
 
-    rows = _Rows(
-        np.concatenate(indices),
-        np.concatenate(data),
-        np.concatenate([[0], np.cumsum(np.concatenate(counts))]),
+    return DiscreteModulusProblem(
+        p=float(p), centers=centers, volumes=volumes, surfaces=tuple(surfaces)
     )
-    return DiscreteModulusProblem(p=float(p), centers=centers, volumes=volumes, surfaces=rows)
 
 
 def _areas_and_images(fam: ParametrizedFamily, x, y) -> tuple:

@@ -258,8 +258,13 @@ def test_criterion_09_discrete_oracle():
             volumes=volumes,
             surfaces=tuple(surfaces),
         )
+        # A feasible full objective can only err upward, which the check
+        # forgives; the one-surface solve at tol 1e-8 leaves it a tenfold
+        # margin.  Some full problems here stall near a 1.5e-8 gap.
         full = solve_discrete(problem).objective
-        partial = solve_discrete(replace_surfaces(problem, problem.surfaces[:1])).objective
+        partial = solve_discrete(
+            replace_surfaces(problem, problem.surfaces[:1]), tol=1e-8
+        ).objective
         worst_monotone = max(worst_monotone, (partial - full) / full)
         factor = float(rng.uniform(0.5, 2.0))
         scaled = solve_discrete(
