@@ -29,7 +29,6 @@ from .family import (
     compose,
     evaluate_map,
     jacobian_full,
-    jacobian_partial_x,
     jacobian_partial_y,
     key_relation_residual,
     node_fields,
@@ -46,7 +45,6 @@ from .modulus import (
     extremal_density,
     extremality_probe,
     jacobian_floor,
-    l_of_x,
     modulus_p,
     submersion_modulus,
 )
@@ -112,10 +110,8 @@ __all__ = [
     "generalized_norm",
     "jacobian_floor",
     "jacobian_full",
-    "jacobian_partial_x",
     "jacobian_partial_y",
     "key_relation_residual",
-    "l_of_x",
     "make_condenser",
     "make_parallel",
     "make_polar_annulus",

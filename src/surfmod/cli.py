@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -160,6 +160,7 @@ def _parse_ladder(text: str):
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
 
 
 def _load_config_file(path: str) -> dict:
@@ -224,15 +225,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             f"{args.command!r} was invoked"
         )
 
-    def pick(name, default):
+    def pick(name):
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
         if name in file_values and file_values[name] is not None:
             return file_values[name]
-        return default
+        return _DEFAULTS.get(name)
 
-    family = pick("family", None)
+    family = pick("family")
     if family is None:
         raise ConfigError("no family given; pass --family or a config file")
 
@@ -247,7 +248,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, scalar, None) is not None:
             parameters[scalar] = float(getattr(args, scalar))
 
-    ladder = pick("ladder", (16, 32, 64))
+    ladder = pick("ladder")
     if isinstance(ladder, str):
         ladder = _parse_ladder(ladder)
     else:
@@ -263,15 +264,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         family=str(family),
         parameters=parameters,
-        p=float(pick("p", 2.0)),
-        order=int(pick("order", 12)),
-        subdivisions=int(pick("subdivisions", 4)),
-        kind=str(pick("kind", "gauss")),
+        p=float(pick("p")),
+        order=int(pick("order")),
+        subdivisions=int(pick("subdivisions")),
+        kind=str(pick("kind")),
         ladder=ladder,
-        output=pick("output", None),
-        format=str(pick("format", "json")),
-        seed=int(pick("seed", 0)),
-        trials=int(pick("trials", 50)),
+        output=pick("output"),
+        format=str(pick("format")),
+        seed=int(pick("seed")),
+        trials=int(pick("trials")),
     )
     if config.format not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {config.format!r}")

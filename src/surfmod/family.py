@@ -29,7 +29,6 @@ __all__ = [
     "NodeFields",
     "node_fields",
     "jacobian_full",
-    "jacobian_partial_x",
     "jacobian_partial_y",
     "submersion_jacobian",
     "key_relation_residual",
@@ -74,14 +73,6 @@ class BoxDomain:
     @property
     def volume(self) -> float:
         return float(np.prod(self.widths))
-
-    def contains(self, point, margin: float = 0.0) -> bool:
-        """True if ``point`` lies inside the open box, inset by ``margin``."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        pad = margin * self.widths
-        return bool(
-            np.all(point > self.lower + pad) and np.all(point < self.upper - pad)
-        )
 
     def grid(self, per_axis: int, inset: float = 0.0) -> np.ndarray:
         """Uniform grid of cell midpoints, ``per_axis`` points on each axis.
@@ -300,11 +291,6 @@ def jacobian_full(fam: ParametrizedFamily, x, y) -> np.ndarray:
     return _point_columns(fam, x, y, slice(None))
 
 
-def jacobian_partial_x(fam: ParametrizedFamily, x, y) -> np.ndarray:
-    """The n x (n-m) block of x-derivative columns of the map."""
-    return _point_columns(fam, x, y, slice(None, fam.n - fam.m))
-
-
 def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
     """The n x m block of y-derivative columns of the map.
 
@@ -411,13 +397,18 @@ def submersion_jacobian(sub: Submersion, z) -> np.ndarray:
     return _submersion_columns(sub, _point(z, sub.n, "z")[None])[0]
 
 
-def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
-    """Residuals of :func:`key_relation_residual` at the paired nodes (x[i], y[i])."""
+def _check_pair(fam: ParametrizedFamily, sub: Submersion):
+    """Raise ValueError unless ``sub`` maps R^n onto the family's parameter space."""
     if sub.n != fam.n or sub.k != fam.n - fam.m:
         raise ValueError(
             f"submersion of shape ({sub.n} -> {sub.k}) does not match a family "
             f"with n={fam.n}, m={fam.m}"
         )
+
+
+def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
+    """Residuals of :func:`key_relation_residual` at the paired nodes (x[i], y[i])."""
+    _check_pair(fam, sub)
     fields = node_fields(fam, x, y, submersion=sub)
     vanishing = ~(fields.areas > 1e-300)
     if vanishing.any():

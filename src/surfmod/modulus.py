@@ -29,8 +29,10 @@ import numpy as np
 
 from .errors import DegenerateJacobian, InversionFailure, NonFiniteIntegrand
 from .family import (
+    NodeFields,
     ParametrizedFamily,
     Submersion,
+    _check_pair,
     _probe_key_relation,
     _stacked_map,
     _tensor_pairs,
@@ -48,7 +50,6 @@ __all__ = [
     "ExtremalDensity",
     "conjugate_exponent",
     "jacobian_floor",
-    "l_of_x",
     "modulus_p",
     "extremal_density",
     "admissibility_check",
@@ -64,6 +65,9 @@ _MIN_P_GAP = 1e-9
 # below the resulting floor are treated as degenerate.
 _DEGENERACY_FACTOR = 1e-12
 
+# Probe points per axis of that grid.
+_FLOOR_PROBES = 5
+
 # l(x) values below this are numerically meaningless underflow.
 _L_FLOOR = 1e-300
 
@@ -76,7 +80,7 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def jacobian_floor(fam: ParametrizedFamily, probes_per_axis: int = 5) -> float:
+def jacobian_floor(fam: ParametrizedFamily) -> float:
     """Degeneracy threshold for |det J| on this family.
 
     The median of |det J| over a coarse interior grid sets the scale;
@@ -84,96 +88,87 @@ def jacobian_floor(fam: ParametrizedFamily, probes_per_axis: int = 5) -> float:
     are reported as degenerate rather than silently amplified by the
     q-power in the integrand.
     """
-    x, y = _tensor_pairs(
-        fam.param_box.grid(probes_per_axis), fam.surface_box.grid(probes_per_axis)
-    )
-    return _DEGENERACY_FACTOR * float(np.median(node_fields(fam, x, y).dets))
+    x, y = fam.param_box.grid(_FLOOR_PROBES), fam.surface_box.grid(_FLOOR_PROBES)
+    return _DEGENERACY_FACTOR * float(np.median(_grid_fields(fam, x, y).dets))
 
 
-def _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor):
-    """Surface weights l(x) at every row of ``x_nodes``.
+def _rules(fam, quad):
+    """Outer and inner rules of ``quad``: x nodes and weights, then y's."""
+    return (*quad.box_rule(fam.param_box), *quad.box_rule(fam.surface_box))
 
-    One kernel call covers the tensor grid of ``x_nodes`` and the inner
-    nodes; |det J| and the area factor come back with l as
-    (len(x_nodes), len(y_nodes)) arrays.
+
+def _grid_fields(fam, x_nodes, y_nodes, floor=None, submersion=None) -> NodeFields:
+    """:func:`node_fields` on the tensor grid of ``x_nodes`` and ``y_nodes``.
+
+    One kernel call covers the whole grid; every field comes back with
+    leading shape (len(x_nodes), len(y_nodes)).
     """
-    x, y = _tensor_pairs(x_nodes, y_nodes)
-    fields = node_fields(fam, x, y, floor=floor)
+    fields = node_fields(fam, *_tensor_pairs(x_nodes, y_nodes), floor=floor, submersion=submersion)
+    shape = (len(x_nodes), len(y_nodes))
+    return NodeFields(*(None if f is None else f.reshape(shape + f.shape[1:]) for f in fields))
+
+
+def _raise_first(bad, error, message):
+    """Raise ``error(message(*index))`` at the first True entry of ``bad``, if any."""
+    if bad.any():
+        raise error(message(*np.unravel_index(int(np.argmax(bad)), bad.shape)))
+
+
+def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
+    """Surface weights l(x) at every row of ``x_nodes``, with the grid fields behind them."""
+    fields = _grid_fields(fam, x_nodes, y_nodes, floor=floor)
     with np.errstate(over="ignore"):
         values = (fields.areas / fields.dets) ** q * fields.dets
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteIntegrand(
-            f"surface-weight integrand is non-finite at x={x[i]}, y={y[i]}"
-        )
-    shape = (len(x_nodes), len(y_nodes))
-    l_vals = values.reshape(shape) @ y_weights
-    _check_weights(l_vals, x_nodes, "surface weight l(x)")
-    return l_vals, fields.dets.reshape(shape), fields.areas.reshape(shape)
+    _raise_first(
+        ~np.isfinite(values),
+        NonFiniteIntegrand,
+        lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
+    )
+    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)"), fields
 
 
 def _check_weights(l_vals, x_nodes, label):
-    unusable = ~(np.isfinite(l_vals) & (l_vals >= _L_FLOOR))
-    if unusable.any():
-        i = int(np.argmax(unusable))
-        raise NonFiniteIntegrand(
-            f"{label} = {float(l_vals[i])!r} at x={x_nodes[i]} is unusable"
-        )
+    _raise_first(
+        ~(np.isfinite(l_vals) & (l_vals >= _L_FLOOR)),
+        NonFiniteIntegrand,
+        lambda i: f"{label} = {float(l_vals[i])!r} at x={x_nodes[i]} is unusable",
+    )
+    return l_vals
 
 
-def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
-    """Integrate l(x)^(1-p) over the outer nodes into a ModulusReport."""
+def _density(fields, q, l_vals, x_nodes, y_nodes):
+    """Extremal density (A / J)^(q-1) / l(x) on a grid of node fields."""
+    with np.errstate(over="ignore"):
+        values = (fields.areas / fields.dets) ** (q - 1.0) / l_vals[:, None]
+    _raise_first(
+        ~np.isfinite(values),
+        NonFiniteIntegrand,
+        lambda i, j: f"density value overflows at x={x_nodes[i]}, y={y_nodes[j]}",
+    )
+    return values
+
+
+def _outer_integral(x_weights, l_vals, p) -> float:
+    """The modulus: integral of l(x)^(1-p) over the outer nodes."""
     with np.errstate(over="ignore"):
         modulus = float(x_weights @ l_vals ** (1.0 - p))
     if not np.isfinite(modulus):
         raise NonFiniteIntegrand("modulus integral is non-finite")
+    return modulus
+
+
+def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
+    """Integrate l(x)^(1-p) over the outer nodes into a ModulusReport."""
     return ModulusReport(
         p=float(p),
         q=float(q),
-        modulus=modulus,
+        modulus=_outer_integral(x_weights, l_vals, p),
         l_samples=tuple(
             (tuple(float(c) for c in x), float(l_val)) for x, l_val in zip(x_nodes, l_vals)
         ),
         min_jacobian=float(dets.min()),
         node_count=dets.size,
     )
-
-
-def l_of_x(
-    fam: ParametrizedFamily,
-    x,
-    p: float,
-    quad: QuadratureScheme,
-    floor: float | None = None,
-) -> float:
-    """Weight of the surface through parameter x.
-
-    Parameters
-    ----------
-    fam : ParametrizedFamily
-    x : array_like
-        Parameter point in the family's parameter box.
-    p : float
-        Modulus exponent, p > 1.
-    quad : QuadratureScheme
-        Rule used on the surface coordinate box.
-    floor : float, optional
-        Precomputed degeneracy threshold; computed from a probe grid
-        when omitted.
-
-    Returns
-    -------
-    float
-        integral over V of (area factor / |det J|)^q * |det J| dy, with
-        q conjugate to p.
-    """
-    q = conjugate_exponent(p)
-    if floor is None:
-        floor = jacobian_floor(fam)
-    nodes, weights = quad.box_rule(fam.surface_box)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(_surface_weights(fam, x[None], q, nodes, weights, floor)[0][0])
 
 
 @dataclass(frozen=True)
@@ -207,8 +202,8 @@ def modulus_p(
     """p-modulus of the family by the closed-form reduction.
 
     Integrates l(x)^(1-p) over the parameter box, where l is the surface
-    weight computed by :func:`l_of_x` with the same quadrature scheme on
-    the surface box.
+    weight integrated with the same quadrature scheme on the surface box;
+    ``extremal_density(fam, p, quad).l_value(x)`` reads it at one point.
 
     Parameters
     ----------
@@ -220,10 +215,9 @@ def modulus_p(
     """
     q = conjugate_exponent(p)
     floor = jacobian_floor(fam)
-    x_nodes, x_weights = quad.box_rule(fam.param_box)
-    y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    l_vals, dets, _ = _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor)
-    return _report(p, q, x_nodes, x_weights, l_vals, dets)
+    x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
+    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor)
+    return _report(p, q, x_nodes, x_weights, l_vals, fields.dets)
 
 
 class ExtremalDensity:
@@ -243,8 +237,6 @@ class ExtremalDensity:
         p: float,
         quad: QuadratureScheme,
         inverse=None,
-        tabulate: bool = False,
-        table_points: int = 33,
     ):
         self.family = family
         self.p = float(p)
@@ -252,43 +244,19 @@ class ExtremalDensity:
         self.inverse = inverse
         self._floor = jacobian_floor(family)
         self._inner_nodes, self._inner_weights = quad.box_rule(family.surface_box)
-        self._interp = None
-        if tabulate:
-            self._build_table(table_points)
         self._seed_params = None
         self._seed_images = None
         self._diameter = None
 
     # -- surface weight ------------------------------------------------
 
-    def _build_table(self, table_points: int):
-        from scipy.interpolate import RegularGridInterpolator
-
-        box = self.family.param_box
-        axes = [
-            np.linspace(box.lower[i], box.upper[i], table_points)
-            for i in range(box.dim)
-        ]
-        # Clamp the grid just inside the open box so map evaluation stays legal.
-        for i, axis in enumerate(axes):
-            pad = 1e-9 * (box.upper[i] - box.lower[i])
-            axis[0] += pad
-            axis[-1] -= pad
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.ravel() for g in mesh], axis=-1)
-        values = self._l_values(points).reshape([table_points] * box.dim)
-        self._interp = RegularGridInterpolator(axes, values, method="linear")
-
     def _l_values(self, x_nodes):
-        """Surface weights at the rows of ``x_nodes``, in one kernel call or,
-        once tabulated, one interpolation."""
-        if self._interp is not None:
-            return self._interp(x_nodes)
+        """Surface weights at the rows of ``x_nodes``, in one kernel call."""
         nodes, weights = self._inner_nodes, self._inner_weights
-        return _surface_weights(self.family, x_nodes, self.q, nodes, weights, self._floor)[0]
+        return _surface_weights(self.family, self.q, x_nodes, nodes, weights, self._floor)[0]
 
     def l_value(self, x) -> float:
-        """Surface weight l(x), interpolated if tabulation was requested."""
+        """Surface weight l(x) of the surface through parameter x."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return float(self._l_values(x[None])[0])
 
@@ -302,17 +270,9 @@ class ExtremalDensity:
 
     def _evaluate_grid(self, x_nodes, y_nodes):
         """Density on the tensor grid of ``x_nodes`` and ``y_nodes``, as a
-        (len(x_nodes), len(y_nodes)) array, with the node fields behind it."""
-        x, y = _tensor_pairs(x_nodes, y_nodes)
-        fields = node_fields(self.family, x, y, floor=self._floor)
-        l_vals = self._l_values(x_nodes)
-        with np.errstate(over="ignore"):
-            values = (fields.areas / fields.dets) ** (self.q - 1.0)
-            values = values.reshape(len(x_nodes), len(y_nodes)) / l_vals[:, None]
-        bad = ~np.isfinite(values.ravel())
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise NonFiniteIntegrand(f"density value overflows at x={x[i]}, y={y[i]}")
+        (len(x_nodes), len(y_nodes)) array, with the grid fields behind it."""
+        fields = _grid_fields(self.family, x_nodes, y_nodes, floor=self._floor)
+        values = _density(fields, self.q, self._l_values(x_nodes), x_nodes, y_nodes)
         return values, fields
 
     def evaluate_ambient(self, z) -> float:
@@ -385,20 +345,13 @@ def extremal_density(
     p: float,
     quad: QuadratureScheme,
     inverse=None,
-    tabulate: bool = False,
-    table_points: int = 33,
 ) -> ExtremalDensity:
     """Construct the extremal density of the family for exponent p.
 
     ``inverse``, when given, must map an ambient point z to the pair
-    (x, y) of parameter coordinates with map(x, y) = z.  With
-    ``tabulate=True`` the surface weight l is precomputed on a uniform
-    grid of ``table_points`` per axis and evaluated by linear
-    interpolation; by default it is recomputed on demand.
+    (x, y) of parameter coordinates with map(x, y) = z.
     """
-    return ExtremalDensity(
-        fam, p, quad, inverse=inverse, tabulate=tabulate, table_points=table_points
-    )
+    return ExtremalDensity(fam, p, quad, inverse=inverse)
 
 
 def admissibility_check(
@@ -416,8 +369,8 @@ def admissibility_check(
     x_samples = np.asarray(x_samples, dtype=float).reshape(-1, fam.n - fam.m)
     values, fields = density._evaluate_grid(x_samples, nodes)
     if density.family is not fam:
-        fields = node_fields(fam, *_tensor_pairs(x_samples, nodes))
-    integrals = (values * fields.areas.reshape(values.shape)) @ weights
+        fields = _grid_fields(fam, x_samples, nodes)
+    integrals = (values * fields.areas) @ weights
     return [(x.copy(), float(total)) for x, total in zip(x_samples, integrals)]
 
 
@@ -435,13 +388,11 @@ def coarea_check(
     a consistent (family, submersion) pair the two agree up to
     quadrature and rounding error.
     """
-    if sub.n != fam.n or sub.k != fam.n - fam.m:
-        raise ValueError("submersion dimensions do not match the family")
-    x_nodes, x_weights = quad.box_rule(fam.param_box)
-    y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    fields = node_fields(fam, *_tensor_pairs(x_nodes, y_nodes), submersion=sub)
-    weighted = np.outer(x_weights, y_weights).ravel()
-    weighted = weighted * np.array([float(integrand(z)) for z in fields.images])
+    _check_pair(fam, sub)
+    x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
+    fields = _grid_fields(fam, x_nodes, y_nodes, submersion=sub)
+    weighted = np.outer(x_weights, y_weights)
+    weighted = weighted * np.array([[float(integrand(z)) for z in row] for row in fields.images])
     lhs = weighted * fields.gradients * fields.dets
     return float(lhs.sum()), float((weighted * fields.areas).sum())
 
@@ -465,16 +416,14 @@ def submersion_modulus(
     fam = levelset_param
     _probe_key_relation(fam, sub, residual_tol, "submersion_modulus")
     floor = jacobian_floor(fam)
-    x_nodes, x_weights = quad.box_rule(fam.param_box)
-    y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    x, y = _tensor_pairs(x_nodes, y_nodes)
-    fields = node_fields(fam, x, y, floor=floor, submersion=sub)
-    flat = ~(fields.gradients > 0.0)
-    if flat.any():
-        z = fields.images[int(np.argmax(flat))]
-        raise DegenerateJacobian(f"submersion differential is rank-deficient at z={z}")
-    shape = (len(x_nodes), len(y_nodes))
-    level = (fields.gradients ** (q - 1.0) * fields.areas).reshape(shape) @ y_weights
+    x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
+    fields = _grid_fields(fam, x_nodes, y_nodes, floor=floor, submersion=sub)
+    _raise_first(
+        ~(fields.gradients > 0.0),
+        DegenerateJacobian,
+        lambda i, j: f"submersion differential is rank-deficient at z={fields.images[i, j]}",
+    )
+    level = (fields.gradients ** (q - 1.0) * fields.areas) @ y_weights
     _check_weights(level, x_nodes, "level-set weight")
     return _report(p, q, x_nodes, x_weights, level, fields.dets)
 
@@ -501,11 +450,10 @@ def extremality_probe(
         raise ValueError("need at least one trial")
     q = conjugate_exponent(p)
     floor = jacobian_floor(fam)
-    x_nodes, x_weights = quad.box_rule(fam.param_box)
-    y_nodes, y_weights = quad.box_rule(fam.surface_box)
-    l_vals, dets, areas = _surface_weights(fam, x_nodes, q, y_nodes, y_weights, floor)
-    modulus = float(x_weights @ l_vals ** (1.0 - p))
-    density = (areas / dets) ** (q - 1.0) / l_vals[:, None]
+    x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
+    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor)
+    modulus = _outer_integral(x_weights, l_vals, p)
+    density = _density(fields, q, l_vals, x_nodes, y_nodes)
     floor_value = float(density.min())
 
     # Normalized coordinates of the nodes, for building the cosine waves.
@@ -529,8 +477,8 @@ def extremality_probe(
                 + phases[u_box.dim + axis]
             )
         competitor = density + amp * np.outer(wave_x, wave_y)
-        surface_integrals = (competitor * areas) @ y_weights
+        surface_integrals = (competitor * fields.areas) @ y_weights
         competitor = competitor / surface_integrals.min()
-        energy = float(x_weights @ ((competitor**p * dets) @ y_weights))
+        energy = float(x_weights @ ((competitor**p * fields.dets) @ y_weights))
         worst = min(worst, energy - modulus)
     return float(worst)

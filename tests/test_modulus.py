@@ -1,7 +1,13 @@
 """Surface weights, moduli, extremal densities, and both verification routes."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfmod import (
     BoxDomain,
@@ -16,10 +22,10 @@ from surfmod import (
     admissibility_check,
     coarea_check,
     conjugate_exponent,
+    evaluate_map,
     extremal_density,
     extremality_probe,
     jacobian_floor,
-    l_of_x,
     make_parallel,
     make_polar_annulus,
     make_shear,
@@ -61,20 +67,23 @@ def test_surface_weight_parallel():
     # flat surfaces: the weight is the surface volume, for every p
     fam = make_parallel([(0.0, 2.0)], [(0.0, 3.0)]).family
     for p in (1.5, 2.0, 3.0):
-        assert l_of_x(fam, [0.7], p, QUAD) == pytest.approx(3.0, rel=1e-13)
+        density = extremal_density(fam, p, QUAD)
+        assert density.l_value([0.7]) == pytest.approx(3.0, rel=1e-13)
 
 
 def test_surface_weight_radial():
     # radial segments of the annulus 1 < |z| < 2 at p=2: weight log 2
     fam = make_polar_annulus(1.0, 2.0, mode="radial").family
-    assert l_of_x(fam, [1.2], 2.0, QUAD) == pytest.approx(np.log(2.0), rel=1e-12)
+    density = extremal_density(fam, 2.0, QUAD)
+    assert density.l_value([1.2]) == pytest.approx(np.log(2.0), rel=1e-12)
 
 
 def test_surface_weight_circles():
     # concentric circles at p=2: weight is the circumference
     fam = make_polar_annulus(1.0, 2.0, mode="circular").family
+    density = extremal_density(fam, 2.0, QUAD)
     for t in (1.1, 1.5, 1.9):
-        assert l_of_x(fam, [t], 2.0, QUAD) == pytest.approx(
+        assert density.l_value([t]) == pytest.approx(
             2.0 * np.pi * t, rel=1e-12
         )
 
@@ -120,22 +129,44 @@ def test_report_validates_conjugacy():
 
 
 def test_degenerate_jacobian_detected():
-    fam = constant_jacobian_family([[1.0, 1.0], [1.0, 1.0]])
+    density = extremal_density(constant_jacobian_family([[1.0, 1.0], [1.0, 1.0]]), 2.0, QUAD)
     with pytest.raises(DegenerateJacobian):
-        l_of_x(fam, [0.5], 2.0, QUAD)
+        density.l_value([0.5])
 
 
 def test_non_finite_integrand_detected():
     # ratio (area/det)^q overflows while det stays above the floor
-    fam = constant_jacobian_family([[1e-200, 0.0], [0.0, 1e20]])
+    density = extremal_density(constant_jacobian_family([[1e-200, 0.0], [0.0, 1e20]]), 2.0, QUAD)
     with pytest.raises(NonFiniteIntegrand):
-        l_of_x(fam, [0.5], 2.0, QUAD)
+        density.l_value([0.5])
 
 
 def test_underflowing_weight_detected():
     fam = constant_jacobian_family([[1.0, 0.0], [0.0, 1e-301]])
     with pytest.raises(NonFiniteIntegrand):
         modulus_p(fam, 2.0, QUAD)
+
+
+def test_non_finite_weight_names_the_first_bad_node():
+    # A / |det J| = 1 / s, whose square overflows where s = 1e-160: at the
+    # nodes with x > 1/2 and y > 1, while |det J| = 1e-10 at every node.
+    def jacobian(x, y):
+        return np.diag([1e-160, 1e150] if x[0] > 0.5 and y[0] > 1.0 else [1.0, 1e-10])
+
+    fam = ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([0.0], [2.0]),
+        map=lambda x, y: np.concatenate([x, y]),
+        jacobian=jacobian,
+    )
+    x_nodes, _ = QUAD.box_rule(fam.param_box)
+    y_nodes, _ = QUAD.box_rule(fam.surface_box)
+    x, y = x_nodes[x_nodes[:, 0] > 0.5][0], y_nodes[y_nodes[:, 0] > 1.0][0]
+    with pytest.raises(NonFiniteIntegrand) as raised:
+        modulus_p(fam, 2.0, QUAD)
+    assert str(raised.value) == f"surface-weight integrand is non-finite at x={x}, y={y}"
 
 
 def test_jacobian_floor_scales_with_family():
@@ -166,20 +197,6 @@ def test_extremal_density_radial_ambient():
 
     with_inverse = extremal_density(entry.family, 2.0, QUAD, inverse=inverse)
     assert with_inverse.evaluate_ambient(z) == pytest.approx(expected, rel=1e-12)
-
-
-def test_extremal_density_tabulated():
-    entry = make_polar_annulus(1.0, 2.0, mode="circular")
-    direct = extremal_density(entry.family, 2.0, QUAD)
-    tabulated = extremal_density(entry.family, 2.0, QUAD, tabulate=True, table_points=65)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        x = rng.uniform(1.01, 1.99, size=1)
-        y = rng.uniform(0.1, 6.1, size=1)
-        # the weight is linear in the radius, so interpolation is exact
-        assert tabulated.evaluate_param(x, y) == pytest.approx(
-            direct.evaluate_param(x, y), rel=1e-9
-        )
 
 
 def test_extremal_density_keeps_no_per_query_state():
@@ -225,6 +242,15 @@ def test_admissibility_of_extremal_density():
         samples = entry.family.param_box.grid(8)
         for x, integral in admissibility_check(entry.family, density, QUAD, samples):
             assert integral == pytest.approx(1.0, abs=1e-10)
+
+
+def test_admissibility_with_a_copy_of_the_family():
+    # a density built on a copy recomputes the area factors on the family given
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+    samples = fam.param_box.grid(4)
+    original = admissibility_check(fam, extremal_density(fam, 2.0, QUAD), QUAD, samples)
+    copied = admissibility_check(fam, extremal_density(replace(fam), 2.0, QUAD), QUAD, samples)
+    assert [value for _, value in copied] == [value for _, value in original]
 
 
 def test_coarea_identity_radial():
@@ -273,6 +299,17 @@ def test_inconsistent_submersion_rejected():
         submersion_modulus(circular.submersion, radial.family, 2.0, QUAD)
 
 
+def test_flat_submersion_names_the_first_image():
+    # a zero differential passes a consistency probe this loose, then fails
+    # at the first quadrature node
+    fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
+    flat = Submersion(n=2, k=1, map=lambda z: 0.0 * z[:1], jacobian=lambda z: np.zeros((1, 2)))
+    z = evaluate_map(fam, QUAD.box_rule(fam.param_box)[0][0], QUAD.box_rule(fam.surface_box)[0][0])
+    with pytest.raises(DegenerateJacobian) as raised:
+        submersion_modulus(flat, fam, 2.0, QUAD, residual_tol=10)
+    assert str(raised.value) == f"submersion differential is rank-deficient at z={z}"
+
+
 def test_extremality_zero_amplitude_gap_vanishes():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     gap = extremality_probe(fam, 2.0, QUAD, trials=3, amplitude=0.0)
@@ -293,3 +330,49 @@ def test_extremality_probe_needs_trials():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
         extremality_probe(fam, 2.0, QUAD, trials=0)
+
+
+def test_extremality_probe_rejects_an_overflowing_modulus():
+    # l = 1e-195 is usable, but l^(1-p) = 1e390 overflows at p = 3
+    fam = constant_jacobian_family(np.diag([1e130, 1e-130]))
+    quad = QuadratureScheme(4, 1)
+    for route in (modulus_p, extremality_probe):
+        with pytest.raises(NonFiniteIntegrand, match="modulus integral is non-finite"):
+            route(fam, 3.0, quad)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.data())
+def test_shear_families_match_the_closed_form(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = n - m
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=k * m, max_size=k * m)
+    shear = np.array(data.draw(entries, label="shear")).reshape(k, m)
+    corner = st.floats(-1.0, 1.0)
+    width = st.floats(0.25, 2.0)
+    u = [(lo, lo + data.draw(width)) for lo in data.draw(st.lists(corner, min_size=k, max_size=k))]
+    v = [(lo, lo + data.draw(width)) for lo in data.draw(st.lists(corner, min_size=m, max_size=m))]
+    p = data.draw(st.floats(1.25, 4.0), label="p")
+    entry = make_shear(u, v, shear)
+    quad = QuadratureScheme(2, 1)
+    vol_u = np.prod([hi - lo for lo, hi in u])
+    vol_v = np.prod([hi - lo for lo, hi in v])
+    gram = shear.T @ shear + np.eye(m)
+    expected = vol_u * vol_v ** (1.0 - p) * np.linalg.det(gram) ** (-p / 2.0)
+    direct = modulus_p(entry.family, p, quad).modulus
+    via_sub = submersion_modulus(entry.submersion, entry.family, p, quad).modulus
+    assert direct == pytest.approx(expected, rel=1e-10)
+    assert via_sub == pytest.approx(expected, rel=1e-10)
+    assert extremality_probe(entry.family, p, quad, trials=5) >= -1e-9
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by the discrete oracle only
+    import surfmod
+
+    src = os.path.dirname(os.path.dirname(surfmod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, surfmod; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
