@@ -91,7 +91,7 @@ def _bounds(box: BoxDomain) -> list:
 
 
 def _constant(matrix):
-    """Vectorized Jacobian that is ``matrix`` at every node, for a family
+    """Jacobian that is ``matrix`` at every node, for a family
     (called with x, y), a submersion or an ambient map (called with z)."""
     matrix = np.asarray(matrix, dtype=float)
     return lambda w, *_: np.broadcast_to(matrix, w.shape[:-1] + matrix.shape)
@@ -125,11 +125,8 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         surface_box=v,
         map=lambda x, y: np.concatenate([x, y], axis=-1),
         jacobian=_constant(eye),
-        vectorized=True,
     )
-    sub = Submersion(
-        n=n, k=k, map=lambda z: z[..., :k], jacobian=_constant(eye[:k]), vectorized=True
-    )
+    sub = Submersion(n=n, k=k, map=lambda z: z[..., :k], jacobian=_constant(eye[:k]))
     transverse_family = ParametrizedFamily(
         n=n,
         m=k,
@@ -137,11 +134,8 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
         surface_box=u,
         map=lambda x, y: np.concatenate([y, x], axis=-1),
         jacobian=_constant(flip),
-        vectorized=True,
     )
-    transverse_sub = Submersion(
-        n=n, k=m, map=lambda z: z[..., k:], jacobian=_constant(eye[k:]), vectorized=True
-    )
+    transverse_sub = Submersion(n=n, k=m, map=lambda z: z[..., k:], jacobian=_constant(eye[k:]))
     transverse = CatalogEntry(
         name="parallel-transverse",
         family=transverse_family,
@@ -201,15 +195,8 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
         surface_box=v,
         map=lambda x, y: np.concatenate([x + y @ s.T, y], axis=-1),
         jacobian=_constant(jac),
-        vectorized=True,
     )
-    sub = Submersion(
-        n=n,
-        k=k,
-        map=lambda z: z[..., :k] - z[..., k:] @ s.T,
-        jacobian=_constant(sub_jac),
-        vectorized=True,
-    )
+    sub = Submersion(n=n, k=k, map=lambda z: z[..., :k] - z[..., k:] @ s.T, jacobian=_constant(sub_jac))
     entry = CatalogEntry(
         name="shear",
         family=family,
@@ -225,7 +212,7 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
 
 
 def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
-    """Vectorized polar map (r, t) -> (r cos t, r sin t) on U x V.
+    """Polar map (r, t) -> (r cos t, r sin t) on U x V.
 
     The radius is the parameter (circles) when ``radius_first``, and the
     surface coordinate (rays) otherwise.
@@ -244,9 +231,7 @@ def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
         cols = [np.stack([c, sn], -1), np.stack([-r * sn, r * c], -1)]
         return np.stack(cols if radius_first else cols[::-1], axis=-1)
 
-    return ParametrizedFamily(
-        n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac, vectorized=True
-    )
+    return ParametrizedFamily(n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac)
 
 
 def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
@@ -265,7 +250,7 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - q) - inner ** (2.0 - q)) / (2.0 - q)
         return 2.0 * np.pi * weight ** (1.0 - e)
 
-    sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac, vectorized=True)
+    sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac)
     return CatalogEntry(
         name="annulus-radial",
         family=_polar_family(_box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)]), False),
@@ -289,7 +274,7 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - e) - inner ** (2.0 - e)) / (2.0 - e)
         return (2.0 * np.pi) ** (1.0 - e) * weight
 
-    sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac, vectorized=True)
+    sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac)
     return CatalogEntry(
         name="annulus-circular",
         family=_polar_family(_box([(inner, outer)]), _box([(0.0, 2.0 * np.pi)]), True),
@@ -358,11 +343,8 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         surface_box=v,
         map=lambda x, y: np.stack([a * x[..., 0], b * y[..., 0]], axis=-1),
         jacobian=_constant(jac),
-        vectorized=True,
     )
-    sub = Submersion(
-        n=2, k=1, map=lambda z: z[..., :1] / a, jacobian=_constant([[1 / a, 0.0]]), vectorized=True
-    )
+    sub = Submersion(n=2, k=1, map=lambda z: z[..., :1] / a, jacobian=_constant([[1 / a, 0.0]]))
     transverse_family = ParametrizedFamily(
         n=2,
         m=1,
@@ -370,11 +352,8 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
         surface_box=u,
         map=lambda x, y: np.stack([a * y[..., 0], b * x[..., 0]], axis=-1),
         jacobian=_constant(flip),
-        vectorized=True,
     )
-    transverse_sub = Submersion(
-        n=2, k=1, map=lambda z: z[..., 1:] / b, jacobian=_constant([[0.0, 1 / b]]), vectorized=True
-    )
+    transverse_sub = Submersion(n=2, k=1, map=lambda z: z[..., 1:] / b, jacobian=_constant([[0.0, 1 / b]]))
 
     def expected_vertical(e):
         conj = conjugate_exponent(e)
@@ -471,9 +450,7 @@ def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) ->
             sy = float(params.get("sy", 1.0))
             base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
             diag = np.array([[sx, 0.0], [0.0, sy]])
-            outer = AmbientMap(
-                n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag), vectorized=True
-            )
+            outer = AmbientMap(n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag))
             # Unit flat surfaces stretched by diag(sx, sy) all weigh
             # l = sx^(1-q) sy, and (1-q)(1-p) = 1 gives sx sy^(1-p).
             return replace(

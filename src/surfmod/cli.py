@@ -22,6 +22,7 @@ from .errors import ConfigError, SurfmodError
 from .modulus import (
     admissibility_check,
     coarea_check,
+    conjugate_exponent,
     extremal_density,
     extremality_probe,
     modulus_p,
@@ -278,12 +279,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be json or csv, got {config.format!r}")
     if config.trials < 1:
         raise ConfigError("trials must be a positive integer")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {config.seed}")
     try:
-        quad = QuadratureScheme(config.order, config.subdivisions, config.kind)
+        QuadratureScheme(config.order, config.subdivisions, config.kind)
+        conjugate_exponent(config.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not config.p > 1.0 + 1e-9:
-        raise ConfigError(f"exponent p must exceed 1, got {config.p}")
     return config
 
 

@@ -106,17 +106,12 @@ class ParametrizedFamily:
         Coordinate box V of dimension m on which every surface is
         parametrized.
     map : callable
-        ``map(x, y) -> array of shape (n,)`` with x in U, y in V.
+        ``map(x, y) -> (..., n)`` with x of shape (..., n-m) in U and y
+        of shape (..., m) in V, broadcasting over the leading axes.
     jacobian : callable or None
-        Optional analytic Jacobian ``jacobian(x, y) -> (n, n) array``
-        with columns ordered as the n-m x-derivatives followed by the m
+        Optional analytic Jacobian ``jacobian(x, y) -> (..., n, n)``,
+        columns ordered as the n-m x-derivatives followed by the m
         y-derivatives.  When absent, central finite differences are used.
-    vectorized : bool
-        When True, ``map`` and ``jacobian`` broadcast over leading axes:
-        x of shape (..., n-m) and y of shape (..., m) give (..., n) and
-        (..., n, n).  :func:`node_fields` then evaluates a whole batch of
-        nodes in one call, finite differences included; otherwise it
-        calls the map once per node.
 
     The map is expected to be injective with nonvanishing Jacobian
     determinant; this is not checked at construction and violations
@@ -129,7 +124,6 @@ class ParametrizedFamily:
     surface_box: BoxDomain
     map: Callable
     jacobian: Callable | None = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if not 1 <= self.m <= self.n - 1:
@@ -148,18 +142,17 @@ class ParametrizedFamily:
 class Submersion:
     """Map F from R^n onto R^k whose level sets are (n-k)-surfaces.
 
-    ``map(z) -> array of shape (k,)``; the optional analytic ``jacobian``
-    returns the (k, n) derivative matrix at z.  The differential is
-    expected to have full rank wherever it is evaluated.  With
-    ``vectorized`` both broadcast over leading axes, z of shape (..., n)
-    giving (..., k) and (..., k, n), as for :class:`ParametrizedFamily`.
+    ``map(z)`` takes z of shape (..., n) and returns (..., k); the
+    optional analytic ``jacobian(z)`` returns the (..., k, n) derivative
+    matrices.  Both broadcast over leading axes, as for
+    :class:`ParametrizedFamily`.  The differential is expected to have
+    full rank wherever it is evaluated.
     """
 
     n: int
     k: int
     map: Callable
     jacobian: Callable | None = None
-    vectorized: bool = False
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:
@@ -170,16 +163,14 @@ class Submersion:
 class AmbientMap:
     """Diffeomorphism of R^n used to push a family forward.
 
-    ``map(z) -> array of shape (n,)``; optional ``jacobian(z) -> (n, n)``.
-    With ``vectorized`` both broadcast over leading axes, z of shape
-    (..., n) giving (..., n) and (..., n, n), as for
-    :class:`ParametrizedFamily`.
+    ``map(z)`` takes z of shape (..., n) and returns (..., n); the
+    optional ``jacobian(z)`` returns (..., n, n).  Both broadcast over
+    leading axes, as for :class:`ParametrizedFamily`.
     """
 
     n: int
     map: Callable
     jacobian: Callable | None = None
-    vectorized: bool = False
 
 
 def _point(vec, dim: int, label: str) -> np.ndarray:
@@ -189,40 +180,28 @@ def _point(vec, dim: int, label: str) -> np.ndarray:
     return vec
 
 
-def _evaluate(fn, vectorized: bool, args: tuple, shape: tuple, label: str, names="xy"):
-    """``fn`` at the rows of the equally long arrays ``args``, stacked to (N,) + shape.
+def _evaluate(fn, args: tuple, shape: tuple, label: str, names="xy"):
+    """``fn`` called once on the equally long arrays ``args``, checked to be (N,) + shape.
 
-    A vectorized callable gets the whole batch, any other one row at a
-    time.  Misshapen or non-finite values raise EvaluationFailure naming
-    the first offending row, each array by its letter in ``names``.
+    A misshapen result raises EvaluationFailure, and so does a non-finite
+    one, naming the first offending row, each array by its letter in
+    ``names``.
     """
-    where = lambda i: ", ".join(f"{name}={arg[i]}" for name, arg in zip(names, args))
     count = len(args[0])
-    if vectorized:
-        out = np.asarray(fn(*args), dtype=float)
-        if out.shape != (count,) + shape:
-            raise EvaluationFailure(
-                f"{label} returned shape {out.shape}, expected {(count,) + shape}"
-            )
-    else:
-        out = np.empty((count,) + shape)
-        for i in range(count):
-            value = np.asarray(fn(*(arg[i] for arg in args)), dtype=float)
-            if value.shape != shape:
-                raise EvaluationFailure(
-                    f"{label} returned shape {value.shape}, expected {shape} at {where(i)}"
-                )
-            out[i] = value
+    out = np.asarray(fn(*args), dtype=float)
+    if out.shape != (count,) + shape:
+        raise EvaluationFailure(f"{label} returned shape {out.shape}, expected {(count,) + shape}")
     bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
     if bad.any():
         i = int(np.argmax(bad))
-        raise EvaluationFailure(f"{label} returned non-finite values at {where(i)}")
+        where = ", ".join(f"{name}={arg[i]}" for name, arg in zip(names, args))
+        raise EvaluationFailure(f"{label} returned non-finite values at {where}")
     return out
 
 
 def _stacked_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
     """Images of the paired nodes (x[i], y[i]), shape (N, n)."""
-    return _evaluate(fam.map, fam.vectorized, (x, y), (fam.n,), "map")
+    return _evaluate(fam.map, (x, y), (fam.n,), "map")
 
 
 def evaluate_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -264,7 +243,7 @@ def _jacobian_columns(fam: ParametrizedFamily, x, y, cols=slice(None)) -> np.nda
     """Stacked Jacobian columns ``cols`` at the paired nodes, (N, n, ncols)."""
     n = fam.n
     if fam.jacobian is not None:
-        return _evaluate(fam.jacobian, fam.vectorized, (x, y), (n, n), "jacobian")[:, :, cols]
+        return _evaluate(fam.jacobian, (x, y), (n, n), "jacobian")[:, :, cols]
     k = n - fam.m
     lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
     upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
@@ -333,10 +312,10 @@ def node_fields(
 ) -> NodeFields:
     """|det J| and the y-block area factor at the paired nodes (x[i], y[i]).
 
-    ``x`` has shape (N, n-m) and ``y`` shape (N, m).  A vectorized family
-    or submersion is evaluated once per batch; any other one once per
-    node.  The area factor is a column norm when m = 1 and the product
-    of the diagonal of a stacked QR factor otherwise.
+    ``x`` has shape (N, n-m) and ``y`` shape (N, m); the family and the
+    submersion are called once per batch.  The area factor is a column
+    norm when m = 1 and the product of the diagonal of a stacked QR
+    factor otherwise.
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node: misshapen or non-finite map and
@@ -380,15 +359,11 @@ def _submersion_columns(sub: Submersion, z) -> np.ndarray:
 
     Without an analytic Jacobian, central differences with the per-axis
     step of :func:`_fd_columns` (no bounds: F is defined on all of R^n).
-    A per-point submersion's map may return a scalar when k = 1, and its
-    Jacobian a single row.
     """
     n, k = sub.n, sub.k
     if sub.jacobian is not None:
-        jac = sub.jacobian if sub.vectorized else lambda w: np.atleast_2d(sub.jacobian(w))
-        return _evaluate(jac, sub.vectorized, (z,), (k, n), "submersion jacobian", "z")
-    fn = sub.map if sub.vectorized else lambda w: np.atleast_1d(sub.map(w))
-    func = lambda w: _evaluate(fn, sub.vectorized, (w,), (k,), "submersion", "z")
+        return _evaluate(sub.jacobian, (z,), (k, n), "submersion jacobian", "z")
+    func = lambda w: _evaluate(sub.map, (w,), (k,), "submersion", "z")
     return _fd_columns(func, z, None, None, range(n), k)
 
 
@@ -457,10 +432,10 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
     The image family keeps the same parameter and surface boxes; its map
     is the composition, and when both factors carry analytic Jacobians
     the chain rule provides one for the composition too, otherwise
-    finite differences do.  The image family is always vectorized: each
-    factor is evaluated under its own ``vectorized`` flag, a per-point
-    one once per node, and a misshapen or non-finite value of either
-    names the first offending node.
+    finite differences do.  Each factor is called once per batch, and a
+    misshapen value of either names the batch shape, a non-finite one
+    the first offending node as x, y and its image z.  The composed
+    callables broadcast over leading axes like any family's.
     """
     if outer.n != fam.n:
         raise ValueError(
@@ -469,7 +444,7 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
     n, k = fam.n, fam.n - fam.m
 
     def outer_values(fn, x, y, z, shape, label):
-        return _evaluate(lambda x, y, z: fn(z), outer.vectorized, (x, y, z), shape, label, "xyz")
+        return _evaluate(lambda x, y, z: fn(z), (x, y, z), shape, label, "xyz")
 
     def batched(fn):
         # Flatten the leading axes of x and y to one batch axis and back.
@@ -490,9 +465,4 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
         return outer_jac @ _jacobian_columns(fam, x, y)
 
     analytic = fam.jacobian is not None and outer.jacobian is not None
-    return replace(
-        fam,
-        map=batched(composed),
-        jacobian=batched(jac) if analytic else None,
-        vectorized=True,
-    )
+    return replace(fam, map=batched(composed), jacobian=batched(jac) if analytic else None)

@@ -36,11 +36,33 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _column_norms(v) -> np.ndarray:
+    """Euclidean norms along the last axis, safe from over- and underflow.
+
+    Where a sum of squares leaves [1e-300, 1e300], the column is divided
+    by its largest absolute entry first; elsewhere, and for zero, infinite
+    or NaN columns, the result is bit for bit that of ``np.linalg.norm``.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce(v * v, axis=-1)
+    norms = np.sqrt(squares)
+    if squares.size and 1e-300 <= squares.min() and squares.max() <= 1e300:
+        return norms
+    redo = ~((squares >= 1e-300) & (squares <= 1e300))
+    cols = v[redo]
+    scale = np.abs(cols).max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rescaled = scale * np.linalg.norm(cols / scale[:, None], axis=-1)
+    norms[redo] = np.where(np.isfinite(scale) & (scale > 0.0), rescaled, norms[redo])
+    return norms
+
+
 def stacked_norm(a) -> np.ndarray:
     """Generalized norm of every matrix in a stack of shape (N, rows, cols).
 
     Wide matrices are handled through their transpose.  A single column
-    (or row) takes its Euclidean norm; otherwise the absolute product of
+    (or row) takes its Euclidean norm, rescaled where squaring the
+    entries would over- or underflow; otherwise the absolute product of
     the diagonal of a stacked QR factor gives sqrt(det(A^T A)) without
     forming the Gram matrix, whose determinant loses accuracy as the
     square of the condition number.
@@ -49,7 +71,7 @@ def stacked_norm(a) -> np.ndarray:
     if a.shape[-1] > a.shape[-2]:
         a = np.swapaxes(a, -1, -2)
     if a.shape[-1] == 1:
-        return np.linalg.norm(a[..., 0], axis=-1)
+        return _column_norms(a[..., 0])
     r = np.linalg.qr(a, mode="r")
     return np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
 

@@ -116,7 +116,9 @@ def test_shear_constant_density_value():
 
 def test_condenser_identity_outer_is_base():
     base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)])
-    outer = AmbientMap(n=2, map=lambda z: z, jacobian=lambda z: np.eye(2))
+    outer = AmbientMap(
+        n=2, map=lambda z: z, jacobian=lambda z: np.broadcast_to(np.eye(2), z.shape[:-1] + (2, 2))
+    )
     entry = make_condenser(base, outer, quad=LIGHT)
     assert entry.expected_modulus(2.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -124,7 +126,9 @@ def test_condenser_identity_outer_is_base():
 def test_condenser_shear_outer_matches_shear_family():
     base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)])
     tilt = np.array([[1.0, 1.0], [0.0, 1.0]])
-    outer = AmbientMap(n=2, map=lambda z: tilt @ z, jacobian=lambda z: tilt)
+    outer = AmbientMap(
+        n=2, map=lambda z: z @ tilt.T, jacobian=lambda z: np.broadcast_to(tilt, z.shape[:-1] + (2, 2))
+    )
     entry = make_condenser(base, outer, quad=LIGHT)
     direct = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])
     for p in (1.5, 2.0, 3.0):

@@ -150,7 +150,13 @@ def test_unknown_family_is_config_error():
 
 
 def test_bad_exponent_is_config_error():
-    assert cli.main(["compute", "--family", "parallel", "--p", "1.0"]) == 2
+    for p in ("1.0", "inf"):
+        assert cli.main(["compute", "--family", "parallel", "--p", p]) == 2
+
+
+def test_negative_seed_is_config_error():
+    for command in ("compute", "verify", "cross-validate"):
+        assert cli.main([command, "--family", "parallel", "--seed", "-1"]) == 2
 
 
 def test_malformed_box_is_config_error():

@@ -24,11 +24,11 @@ def polar_family(with_jacobian=True):
     """Radial segments of an annulus sector, parametrized by angle."""
 
     def mapping(x, y):
-        return np.array([y[0] * np.cos(x[0]), y[0] * np.sin(x[0])])
+        return np.stack([y[..., 0] * np.cos(x[..., 0]), y[..., 0] * np.sin(x[..., 0])], -1)
 
     def jacobian(x, y):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        return np.array([[-y[0] * s, c], [y[0] * c, s]])
+        c, s, r = np.cos(x[..., 0]), np.sin(x[..., 0]), y[..., 0]
+        return np.stack([np.stack([-r * s, c], -1), np.stack([r * c, s], -1)], -2)
 
     return ParametrizedFamily(
         n=2,
@@ -85,9 +85,9 @@ def test_evaluate_map_checks_shape_and_finiteness():
         m=1,
         param_box=fam.param_box,
         surface_box=fam.surface_box,
-        map=lambda x, y: np.zeros(3),
+        map=lambda x, y: np.zeros(x.shape[:-1] + (3,)),
     )
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(EvaluationFailure, match="shape"):
         evaluate_map(bad_shape, [0.5], [1.5])
 
     not_finite = ParametrizedFamily(
@@ -95,9 +95,9 @@ def test_evaluate_map_checks_shape_and_finiteness():
         m=1,
         param_box=fam.param_box,
         surface_box=fam.surface_box,
-        map=lambda x, y: np.array([np.nan, 0.0]),
+        map=lambda x, y: np.full(x.shape[:-1] + (2,), np.nan),
     )
-    with pytest.raises(EvaluationFailure):
+    with pytest.raises(EvaluationFailure, match="non-finite"):
         evaluate_map(not_finite, [0.5], [1.5])
 
 
@@ -141,7 +141,7 @@ def test_shear_jacobian_is_constant():
         m=1,
         param_box=BoxDomain([0.0], [1.0]),
         surface_box=BoxDomain([0.0], [1.0]),
-        map=lambda x, y: np.array([x[0] + y[0], y[0]]),
+        map=lambda x, y: np.concatenate([x + y, y], -1),
     )
     for point in ([0.2], [0.9]):
         np.testing.assert_allclose(
@@ -153,8 +153,8 @@ def test_submersion_jacobian_analytic_and_fd():
     sub = Submersion(
         n=2,
         k=1,
-        map=lambda z: np.array([np.hypot(z[0], z[1])]),
-        jacobian=lambda z: np.array([[z[0], z[1]]]) / np.hypot(z[0], z[1]),
+        map=lambda z: np.hypot(z[..., 0], z[..., 1])[..., None],
+        jacobian=lambda z: (z / np.hypot(z[..., 0], z[..., 1])[..., None])[..., None, :],
     )
     z = np.array([0.6, 0.8])
     np.testing.assert_allclose(submersion_jacobian(sub, z), [[0.6, 0.8]], rtol=1e-12)
@@ -164,11 +164,16 @@ def test_submersion_jacobian_analytic_and_fd():
 
 def test_key_relation_for_polar_pair():
     fam = polar_family()
+
+    def angle_jacobian(z):
+        gradient = np.stack([-z[..., 1], z[..., 0]], -1) / (z**2).sum(-1, keepdims=True)
+        return gradient[..., None, :]
+
     sub = Submersion(
         n=2,
         k=1,
-        map=lambda z: np.array([np.arctan2(z[1], z[0])]),
-        jacobian=lambda z: np.array([[-z[1], z[0]]]) / (z[0] ** 2 + z[1] ** 2),
+        map=lambda z: np.arctan2(z[..., 1], z[..., 0])[..., None],
+        jacobian=angle_jacobian,
     )
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -195,11 +200,16 @@ def test_key_relation_for_random_linear_families():
             m=m,
             param_box=box if n - m == 1 else box2,
             surface_box=box if m == 1 else box2,
-            map=lambda x, y, a=a: a @ np.concatenate([x, y]),
-            jacobian=lambda x, y, a=a: a,
+            map=lambda x, y, a=a: np.concatenate([x, y], -1) @ a.T,
+            jacobian=lambda x, y, a=a: np.broadcast_to(a, x.shape[:-1] + a.shape),
         )
         b = np.linalg.inv(a)[: n - m]
-        sub = Submersion(n=n, k=n - m, map=lambda z, b=b: b @ z, jacobian=lambda z, b=b: b)
+        sub = Submersion(
+            n=n,
+            k=n - m,
+            map=lambda z, b=b: z @ b.T,
+            jacobian=lambda z, b=b: np.broadcast_to(b, z.shape[:-1] + b.shape),
+        )
         x = rng.uniform(0.1, 0.9, size=n - m)
         y = rng.uniform(0.1, 0.9, size=m)
         assert key_relation_residual(fam, sub, x, y) < 1e-10
@@ -207,17 +217,23 @@ def test_key_relation_for_random_linear_families():
 
 def test_key_relation_dimension_mismatch():
     fam = polar_family()
-    sub = Submersion(n=3, k=1, map=lambda z: z[:1])
+    sub = Submersion(n=3, k=1, map=lambda z: z[..., :1])
     with pytest.raises(ValueError):
         key_relation_residual(fam, sub, [0.5], [1.5])
 
 
 def test_compose_chain_rule():
     fam = polar_family()
+
+    def bend_jacobian(z):
+        jac = np.broadcast_to(np.eye(2), z.shape[:-1] + (2, 2)).copy()
+        jac[..., 0, 1] = 0.2 * z[..., 1]
+        return jac
+
     outer = AmbientMap(
         n=2,
-        map=lambda z: np.array([z[0] + 0.1 * z[1] ** 2, z[1]]),
-        jacobian=lambda z: np.array([[1.0, 0.2 * z[1]], [0.0, 1.0]]),
+        map=lambda z: np.stack([z[..., 0] + 0.1 * z[..., 1] ** 2, z[..., 1]], -1),
+        jacobian=bend_jacobian,
     )
     image = compose(fam, outer)
     assert image.jacobian is not None

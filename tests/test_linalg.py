@@ -9,6 +9,7 @@ from surfmod import (
     generalized_norm,
     verify_factorization,
 )
+from surfmod.linalg import stacked_norm
 
 from _oracles import minor_sum_norm, well_conditioned
 
@@ -28,6 +29,23 @@ def test_single_column_is_euclidean_length():
 
 def test_single_row_is_euclidean_length():
     assert generalized_norm([[3.0, 4.0]]) == pytest.approx(5.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-320])
+def test_single_column_neither_overflows_nor_underflows(scale):
+    # the squared entries leave the floating-point range
+    assert generalized_norm([[0.0], [scale]]) == scale
+    assert generalized_norm([[3.0 * scale, 4.0 * scale]]) == pytest.approx(5.0 * scale, rel=1e-15)
+
+
+def test_single_columns_in_range_keep_the_plain_norm():
+    rng = np.random.default_rng(1)
+    cols = rng.normal(size=(200, 4, 1)) * 10.0 ** rng.uniform(-140, 140, (200, 1, 1))
+    cols[0] = 0.0
+    norms = stacked_norm(cols)
+    np.testing.assert_array_equal(norms, np.linalg.norm(cols[..., 0], axis=-1))
+    assert norms[0] == 0.0
+    assert np.isinf(stacked_norm(np.array([[[np.inf], [1.0]]]))[0])
 
 
 def test_square_matches_absolute_determinant():

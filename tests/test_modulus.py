@@ -44,8 +44,8 @@ def constant_jacobian_family(matrix):
         m=1,
         param_box=box,
         surface_box=box,
-        map=lambda x, y: matrix @ np.concatenate([x, y]),
-        jacobian=lambda x, y: matrix,
+        map=lambda x, y: np.concatenate([x, y], -1) @ matrix.T,
+        jacobian=lambda x, y: np.broadcast_to(matrix, x.shape[:-1] + matrix.shape),
     )
 
 
@@ -147,18 +147,29 @@ def test_underflowing_weight_detected():
         modulus_p(fam, 2.0, QUAD)
 
 
+@pytest.mark.parametrize("stretch", [1e160, 1e-160])
+def test_extreme_single_column_area_factors(stretch):
+    # area factor and |det J| both equal the stretch, so l = stretch and
+    # the modulus at p = 2 is 1 / stretch; squaring the column over- or
+    # underflows
+    fam = constant_jacobian_family(np.diag([1.0, stretch]))
+    report = modulus_p(fam, 2.0, QuadratureScheme(4, 1))
+    assert report.modulus == pytest.approx(1.0 / stretch, rel=1e-12)
+
+
 def test_non_finite_weight_names_the_first_bad_node():
     # A / |det J| = 1 / s, whose square overflows where s = 1e-160: at the
     # nodes with x > 1/2 and y > 1, while |det J| = 1e-10 at every node.
     def jacobian(x, y):
-        return np.diag([1e-160, 1e150] if x[0] > 0.5 and y[0] > 1.0 else [1.0, 1e-10])
+        far = (x[..., :1] > 0.5) & (y[..., :1] > 1.0)
+        return np.where(far, [1e-160, 1e150], [1.0, 1e-10])[..., None] * np.eye(2)
 
     fam = ParametrizedFamily(
         n=2,
         m=1,
         param_box=BoxDomain([0.0], [1.0]),
         surface_box=BoxDomain([0.0], [2.0]),
-        map=lambda x, y: np.concatenate([x, y]),
+        map=lambda x, y: np.concatenate([x, y], -1),
         jacobian=jacobian,
     )
     x_nodes, _ = QUAD.box_rule(fam.param_box)
@@ -303,7 +314,9 @@ def test_flat_submersion_names_the_first_image():
     # a zero differential passes a consistency probe this loose, then fails
     # at the first quadrature node
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
-    flat = Submersion(n=2, k=1, map=lambda z: 0.0 * z[:1], jacobian=lambda z: np.zeros((1, 2)))
+    flat = Submersion(
+        n=2, k=1, map=lambda z: 0.0 * z[..., :1], jacobian=lambda z: np.zeros(z.shape[:-1] + (1, 2))
+    )
     z = evaluate_map(fam, QUAD.box_rule(fam.param_box)[0][0], QUAD.box_rule(fam.surface_box)[0][0])
     with pytest.raises(DegenerateJacobian) as raised:
         submersion_modulus(flat, fam, 2.0, QUAD, residual_tol=10)
