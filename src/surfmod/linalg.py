@@ -65,7 +65,8 @@ def stacked_norm(a) -> np.ndarray:
     entries would over- or underflow; otherwise the absolute product of
     the diagonal of a stacked QR factor gives sqrt(det(A^T A)) without
     forming the Gram matrix, whose determinant loses accuracy as the
-    square of the condition number.
+    square of the condition number.  That product multiplies mantissas
+    and adds exponents, so it over- or underflows only if the result does.
     """
     a = np.asarray(a, dtype=float)
     if a.shape[-1] > a.shape[-2]:
@@ -73,7 +74,9 @@ def stacked_norm(a) -> np.ndarray:
     if a.shape[-1] == 1:
         return _column_norms(a[..., 0])
     r = np.linalg.qr(a, mode="r")
-    return np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    # Scaling by a power of two is exact: in range, the plain product.
+    mantissas, exponents = np.frexp(np.diagonal(r, axis1=-2, axis2=-1))
+    return np.abs(np.ldexp(np.prod(mantissas, axis=-1), np.sum(exponents, axis=-1)))
 
 
 def generalized_norm(a) -> float:

@@ -20,9 +20,6 @@ correctly.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +47,12 @@ _TEXT_HEADER = "surfmod-discrete-problem 1"
 # Samples per block in discretize_family; bounds its temporaries.
 _SAMPLE_BLOCK = 1 << 12
 
-# OpenBLAS thread-count entry points ({} is get or set): numpy's and
-# scipy's wheels prefix them, 64-bit-integer builds suffix them.
-_OPENBLAS_THREADS = [
-    f"{a}openblas_{{}}_num_threads{b}" for a in ("scipy_", "") for b in ("", "64_")
-]
+# Projected Newton: Marquardt damping at unit projected gradient, Armijo
+# fraction of the predicted decrease, and step halvings before giving up.
+_DAMPING = 1e-2
+_ARMIJO = 1e-4
+_BACKTRACKS = 60
+_EPS = float(np.finfo(float).eps)
 
 
 def _fmt(value: float) -> str:
@@ -203,7 +201,8 @@ class DiscreteSolution:
 
     ``objective`` upper-bounds the discrete optimum and ``lower_bound``
     (the final dual value) bounds it from below; their gap certifies
-    solution quality.
+    solution quality.  ``iterations`` counts the solver's steps: the
+    rescaling of its all-ones start, then one per projected Newton step.
     """
 
     density: np.ndarray
@@ -327,6 +326,52 @@ def _areas_and_images(fam: ParametrizedFamily, x, y) -> tuple:
     return np.concatenate(areas), np.concatenate(images)
 
 
+class _DualHessian:
+    """Sparsity pattern of the dual Hessian A diag(c) A^T, filled per step.
+
+    Entry (s, t) sums weight_sc * weight_tc * c_c over the cells c that
+    surfaces s and t share.  Those (s, t, c) products are listed once,
+    upper triangle only and grouped by entry, so a fill is one gather and
+    one segmented sum; memory grows with nnz(A A^T) and the products, not
+    with the square of the surface count.  ``indptr``/``indices`` lay the
+    full symmetric matrix out in compressed columns (or rows: they agree).
+    """
+
+    def __init__(self, a):
+        surfaces = a.shape[0]
+        by_cell = a.tocsc()
+        counts = np.diff(by_cell.indptr)
+        # Each entry pairs with itself and with the later entries of its cell.
+        later = np.repeat(by_cell.indptr[1:], counts) - np.arange(by_cell.nnz)
+        first = np.repeat(np.arange(by_cell.nnz), later)
+        second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        s, t = by_cell.indices[first], by_cell.indices[second]
+        # A stable sort of the smallest unsigned key type (a radix sort for
+        # up to 256 surfaces) groups the products by entry.
+        key = s.astype(np.int64) * surfaces + t
+        order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+        key = key[order]
+        self.cells = np.repeat(np.arange(a.shape[1]), counts)[first[order]]
+        self.products = by_cell.data[first[order]] * by_cell.data[second[order]]
+        self.starts = np.flatnonzero(np.diff(key, prepend=-1))
+        upper = key[self.starts]
+        # The full matrix: the upper entries plus the mirror of the strict ones.
+        rows, cols = upper // surfaces, upper % surfaces
+        strict = np.flatnonzero(rows != cols)
+        full_rows = np.concatenate([rows, cols[strict]])
+        full_cols = np.concatenate([cols, rows[strict]])
+        order = np.lexsort((full_cols, full_rows))
+        self.source = np.concatenate([np.arange(upper.size), strict])[order]
+        self.rows, self.indices = full_rows[order], full_cols[order]
+        self.indptr = np.searchsorted(self.rows, np.arange(surfaces + 1))
+        self.diagonal = np.flatnonzero(self.rows == self.indices)
+
+    def fill(self, curvature) -> np.ndarray:
+        """Values of A diag(curvature) A^T in the full pattern's order."""
+        upper = np.add.reduceat(self.products * curvature.take(self.cells), self.starts)
+        return upper[self.source]
+
+
 def solve_discrete(
     problem: DiscreteModulusProblem,
     tol: float = 1e-7,
@@ -334,20 +379,24 @@ def solve_discrete(
 ) -> DiscreteSolution:
     """Solve the discrete program to a certified relative duality gap.
 
-    The Lagrangian dual in the per-surface multipliers is smooth and
-    concave (the cellwise inner minimization has the closed form
-    density_c = (weight_c / (p volume_c))^(1/(p-1)) with weight the
-    multiplier-combined surface load), so it is maximized with a
-    bound-constrained quasi-Newton iteration; the resulting density is
+    The Lagrangian dual in the per-surface multipliers lam >= 0 is
+    smooth and concave: the cellwise inner minimization has the closed
+    form density_c = (load_c / (p volume_c))^(1/(p-1)), with load = A^T lam
+    the multiplier-combined surface weight, and the dual's Hessian is
+    -A diag(density / ((p-1) load)) A^T, as sparse as A A^T.  It is
+    maximized by projected Newton steps (Bertsekas 1982): surfaces at or
+    near the bound and pushed into it move by a diagonally scaled
+    gradient step, the others by a Newton step damped in the
+    Levenberg-Marquardt way, and an Armijo search runs along the
+    projection arc max(0, lam + alpha d).  The resulting density is
     rescaled by the smallest constraint margin to restore feasibility.
     The iteration returns as soon as the relative gap between that
     rescaled density's objective and the dual value is at most ``tol``,
     so the objective is within ``tol`` of the discrete optimum but not
     tighter: it may differ from a longer run's by up to ``tol``.  The
-    default ``tol`` leaves headroom for the rescale step, which amplifies
-    the iteration's stationarity defect on problems with many redundant
-    constraints.  The iteration runs with OpenBLAS limited to one thread
-    (see ``_one_blas_thread``).
+    rescale step amplifies the iteration's stationarity defect on
+    problems with many redundant constraints, which the default ``tol``
+    leaves headroom for.
 
     Raises
     ------
@@ -355,9 +404,11 @@ def solve_discrete(
         If some surface carries no weight at all.
     NoConvergence
         If the relative duality gap or the residual violation still
-        exceeds ``tol`` when the iteration cap is reached.
+        exceeds ``tol`` after ``max_iters`` iterations, or no step
+        along the projection arc makes progress.
     """
-    import scipy.optimize
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
 
     p = problem.p
     q = conjugate_exponent(p)
@@ -368,20 +419,26 @@ def solve_discrete(
             f"surface {empty[0]} has zero total weight; its constraint cannot be met"
         )
     a_t = a.T  # built once: each a.T makes a new sparse wrapper
+    hessian = _DualHessian(a)
     volumes = problem.volumes
     exponent = 1.0 / (p - 1.0)
-    last = []  # multipliers and margins of the latest dual evaluation
+    shape = (problem.surface_count,) * 2
 
-    def density_of(lam):
-        return (a_t @ lam / (p * volumes)) ** exponent
+    def evaluate(lam):
+        """Loads, densities and constraint margins at the multipliers."""
+        load = a_t @ lam
+        density = (load / (p * volumes)) ** exponent
+        return load, density, a @ density
 
-    def negative_dual(lam):
-        margins = a @ density_of(lam)
-        last[:] = [lam, margins]
+    def negative_dual(lam, margins):
         # load @ density, summed over surfaces rather than cells: fewer
         # terms, and exactly invariant under a permutation of the cells.
-        value = lam.sum() - (lam @ margins) / q
-        return -value, margins - 1.0
+        return (lam @ margins) / q - lam.sum()
+
+    def stationarity(lam, margins):
+        """Largest projected-gradient entry of the negative dual."""
+        grad = margins - 1.0
+        return float(np.abs(np.where((lam > 0.0) | (grad < 0.0), grad, 0.0)).max())
 
     def certificate(lam, margins):
         """Relative gap, objective of the rescaled density, dual value.
@@ -398,102 +455,84 @@ def solve_discrete(
         gap = (objective - lower) / objective if objective > 0.0 else np.inf
         return gap, objective, lower
 
-    def stop_when_certified(intermediate_result):
-        # L-BFGS-B reports an iterate right after evaluating the dual
-        # there, so the latest evaluation is that iterate's; the
-        # acceptance test below repeats the certificate at result.x.
-        if certificate(*last)[0] <= tol:
-            raise StopIteration
-
-    # A restart wipes the quasi-Newton memory, which often unsticks the
-    # iteration when it halts a hair above tolerance.
     lam = np.ones(problem.surface_count)
-    total_iters = 0
-    gap = np.inf
-    violation = np.inf
-    for _ in range(3):
-        with _one_blas_thread():
-            result = scipy.optimize.minimize(
-                negative_dual,
-                lam,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(0.0, None)] * problem.surface_count,
-                callback=stop_when_certified,
-                options={
-                    "maxiter": max_iters,
-                    "maxfun": max(20 * max_iters, 15000),
-                    "ftol": 1e-18,
-                    "gtol": 1e-12,
-                },
-            )
-        lam = result.x
-        total_iters += int(result.nit)
-        density = density_of(lam)
-        margins = a @ density
-        smallest = float(margins.min()) if margins.size else 0.0
-        if not smallest > 0.0:
-            raise NoConvergence(
-                "dual iteration produced a density with a vanishing constraint margin"
-            )
+    load, density, margins = evaluate(lam)
+    gap = violation = np.inf
+    for step in range(max_iters + 1):
         # The same certificate that ends the iteration accepts its result.
         gap, objective, lower = certificate(lam, margins)
-        density = density / smallest
-        violation = float(max(0.0, 1.0 - (a @ density).min()))
-        if gap <= tol and violation <= tol:
-            return DiscreteSolution(
-                density=density,
-                objective=objective,
-                max_constraint_violation=violation,
-                iterations=total_iters,
-                lower_bound=lower,
-            )
-        if result.nit == 0 or result.nit >= max_iters:
+        if gap <= tol:
+            smallest = float(margins.min())
+            violation = float(max(0.0, 1.0 - (a @ (density / smallest)).min()))
+            if violation <= tol:
+                return DiscreteSolution(
+                    density=density / smallest,
+                    objective=objective,
+                    max_constraint_violation=violation,
+                    iterations=step,
+                    lower_bound=lower,
+                )
+        if step == max_iters:
             break
+        if step == 0:
+            # The first step moves the all-ones start to its best multiple:
+            # along that ray the dual is t sum(lam) - t^q (lam . m)/q.
+            lam = lam * (lam.sum() / (lam @ margins)) ** (p - 1.0)
+            load, density, margins = evaluate(lam)
+            continue
+        grad = margins - 1.0
+        defect = stationarity(lam, margins)
+        curvature = np.divide(
+            density, (p - 1.0) * load, out=np.zeros_like(load), where=load > 0.0
+        )
+        values = hessian.fill(curvature)
+        # Marquardt damping, relative to each diagonal entry and fading
+        # with the projected gradient; the floor keeps a surface whose
+        # cells all carry zero load (zero curvature) solvable.
+        diagonal = values[hessian.diagonal]
+        damped = diagonal * (1.0 + _DAMPING * min(1.0, defect)) + 1e-12 * diagonal.max()
+        # Bertsekas' active set: surfaces within `width` of the bound that
+        # the gradient pushes into it take a diagonally scaled gradient
+        # step, decoupled from the Newton step of the free ones.
+        width = min(1e-3 * lam.max(), np.abs(lam - np.maximum(lam - grad / damped, 0.0)).max())
+        free = ~((lam <= width) & (grad > 0.0))
+        values = np.where(free[hessian.rows] & free[hessian.indices], values, 0.0)
+        values[hessian.diagonal] = damped
+        factor = splu(
+            csc_matrix((values, hessian.indices, hessian.indptr), shape=shape),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+        direction = factor.solve(-grad)
+        value = negative_dual(lam, margins)
+        newton_gain = -(grad @ np.where(free, direction, 0.0))
+        # Close to the optimum the dual moves by rounding error only, and a
+        # step is taken when it reduces the projected gradient instead.
+        rounding = 16 * _EPS * (lam.sum() + abs(value))
+        alpha = 1.0
+        for _ in range(_BACKTRACKS):
+            trial = np.maximum(lam + alpha * direction, 0.0)
+            trial_state = evaluate(trial)
+            change = negative_dual(trial, trial_state[2]) - value
+            gain = alpha * newton_gain + grad @ np.where(free, 0.0, lam - trial)
+            if change <= -_ARMIJO * gain or (
+                abs(change) <= rounding
+                and stationarity(trial, trial_state[2]) < defect
+            ):
+                break
+            alpha *= 0.5
+        else:
+            raise NoConvergence(
+                f"no step along the projection arc makes progress at duality gap "
+                f"{gap:.3e} after {step} iterations"
+            )
+        lam = trial
+        load, density, margins = trial_state
     raise NoConvergence(
         f"duality gap {gap:.3e} (violation {violation:.3e}) still above "
-        f"{tol:.1e} after {total_iters} iterations"
+        f"{tol:.1e} after {max_iters} iterations"
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS mapped into the
-    process; empty where /proc/self/maps does not exist (outside Linux)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a "(deleted)" mapping
-            continue
-        names = [name for name in _OPENBLAS_THREADS if hasattr(lib, name.format("set"))]
-        for name in names[:1]:
-            controls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread():
-    """Limit every OpenBLAS to one thread inside the block.
-
-    OpenBLAS spreads some of L-BFGS-B's small BLAS calls over threads
-    whose workers then spin on another core: twice the CPU time for the
-    same solve, and a slower, noisier one when that core is busy.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
 
 
 def cross_validate(

@@ -225,24 +225,9 @@ def replace_surfaces(problem, surfaces):
     )
 
 
-def test_criterion_09_discrete_oracle():
-    started = time.perf_counter()
-    ladder = (32, 64, 128)
-    finals = {}
-    cases = (
-        ("parallel", make_parallel([(0.0, 1.0)], [(0.0, 1.0)])),
-        ("annulus-radial", make_polar_annulus(1.0, 2.0, mode="radial")),
-        ("shear", make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])),
-    )
-    for name, entry in cases:
-        rows = cross_validate(
-            entry.family, 2.0, entry.expected_modulus(2.0), ladder, max_iters=20000
-        )
-        finals[name] = rows[-1].relative_gap
-
+def criterion_09_problems():
+    """Criterion 09's 100 random programs, each with its weight factor."""
     rng = np.random.default_rng(909)
-    worst_monotone = 0.0
-    worst_scaling = 0.0
     for _ in range(100):
         cells = int(rng.integers(4, 12))
         p = float(rng.uniform(1.3, 3.5))
@@ -258,23 +243,41 @@ def test_criterion_09_discrete_oracle():
             volumes=volumes,
             surfaces=tuple(surfaces),
         )
+        yield problem, float(rng.uniform(0.5, 2.0))
+
+
+def test_criterion_09_discrete_oracle():
+    started = time.perf_counter()
+    ladder = (32, 64, 128)
+    finals = {}
+    cases = (
+        ("parallel", make_parallel([(0.0, 1.0)], [(0.0, 1.0)])),
+        ("annulus-radial", make_polar_annulus(1.0, 2.0, mode="radial")),
+        ("shear", make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])),
+    )
+    for name, entry in cases:
+        rows = cross_validate(
+            entry.family, 2.0, entry.expected_modulus(2.0), ladder, max_iters=20000
+        )
+        finals[name] = rows[-1].relative_gap
+
+    worst_monotone = 0.0
+    worst_scaling = 0.0
+    for problem, factor in criterion_09_problems():
         # A feasible full objective can only err upward, which the check
-        # forgives; the one-surface solve at tol 1e-8 leaves it a tenfold
-        # margin.  Some full problems here stall near a 1.5e-8 gap.
-        full = solve_discrete(problem).objective
+        # forgives; both solves at tol 1e-8 leave it a tenfold margin.
+        full = solve_discrete(problem, tol=1e-8).objective
         partial = solve_discrete(
             replace_surfaces(problem, problem.surfaces[:1]), tol=1e-8
         ).objective
         worst_monotone = max(worst_monotone, (partial - full) / full)
-        factor = float(rng.uniform(0.5, 2.0))
         scaled = solve_discrete(
             replace_surfaces(
                 problem, tuple((idx, factor * w) for idx, w in problem.surfaces)
             )
         ).objective
-        worst_scaling = max(
-            worst_scaling, abs(scaled - full * factor**-p) / (full * factor**-p)
-        )
+        expected = full * factor**-problem.p
+        worst_scaling = max(worst_scaling, abs(scaled - expected) / expected)
     elapsed = time.perf_counter() - started
     worst_gap = max(finals.values())
     verdict(
@@ -285,6 +288,15 @@ def test_criterion_09_discrete_oracle():
         f"(band 5%), surface-removal slack {worst_monotone:.2e}, "
         f"weight-scaling defect {worst_scaling:.2e} (tol 1e-6) in {elapsed:.0f}s (limit 120s)",
     )
+
+
+def test_criterion_09_programs_certify_tightly():
+    # each program reaches a certified gap of 1e-10, far below the
+    # default tolerance
+    for problem, _ in criterion_09_problems():
+        solution = solve_discrete(problem, tol=1e-10)
+        assert solution.objective - solution.lower_bound <= 1e-10 * solution.objective
+        assert solution.max_constraint_violation <= 1e-10
 
 
 def test_criterion_10_reciprocal_products():

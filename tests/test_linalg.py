@@ -48,6 +48,24 @@ def test_single_columns_in_range_keep_the_plain_norm():
     assert np.isinf(stacked_norm(np.array([[[np.inf], [1.0]]]))[0])
 
 
+@pytest.mark.parametrize(
+    "diagonal, expected",
+    [([1e200, 1e200, 1e-300], 1e100), ([1e-200, 1e-200, 1e300], 1e-100)],
+)
+def test_several_columns_neither_overflow_nor_underflow(diagonal, expected):
+    # the partial product of the first two diagonal entries leaves the range
+    assert generalized_norm(np.diag(diagonal)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_several_columns_in_range_keep_the_plain_product():
+    rng = np.random.default_rng(2)
+    stack = rng.normal(size=(500, 4, 3)) * 10.0 ** rng.uniform(-30, 30, (500, 1, 3))
+    r = np.linalg.qr(stack, mode="r")
+    plain = np.abs(np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    np.testing.assert_array_equal(stacked_norm(stack), plain)
+    assert stacked_norm(np.zeros((1, 3, 2)))[0] == 0.0
+
+
 def test_square_matches_absolute_determinant():
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -134,7 +134,7 @@ def test_single_cell_closed_form():
 
 def test_single_surface_matches_closed_form():
     rng = np.random.default_rng(21)
-    for p in (1.5, 2.0, 3.0):
+    for p in (1.2, 1.5, 2.0, 3.0, 5.0):
         for _ in range(20):
             cells = int(rng.integers(1, 9))
             volumes = rng.uniform(0.2, 2.0, size=cells)
@@ -149,6 +149,60 @@ def test_single_surface_matches_closed_form():
             assert solution.objective == pytest.approx(
                 closed_form_single_surface(p, volumes, weights), rel=1e-8
             )
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 5.0])
+def test_random_problems_certify_tightly(p):
+    rng = np.random.default_rng(int(10 * p))
+    for _ in range(25):
+        problem = random_problem(
+            rng, cells=int(rng.integers(2, 30)), surfaces=int(rng.integers(1, 12)), p=p
+        )
+        solution = solve_discrete(problem, tol=1e-10)
+        # the two bounds may cross by rounding error at an exact optimum
+        assert abs(solution.objective - solution.lower_bound) <= 1e-10 * solution.objective
+        assert solution.max_constraint_violation <= 1e-10
+
+
+def test_one_cell_surfaces():
+    # each surface sits in one cell, so each constraint fixes that cell:
+    # density_c = 1 / (smallest weight in c), and cells no surface meets stay 0
+    volumes = np.array([0.5, 1.0, 2.0, 0.25])
+    surfaces = (
+        (np.array([0]), np.array([2.0])),
+        (np.array([0]), np.array([4.0])),
+        (np.array([2]), np.array([0.5])),
+    )
+    for p in (1.5, 3.0):
+        problem = DiscreteModulusProblem(
+            p=p, centers=np.zeros((4, 1)), volumes=volumes, surfaces=surfaces
+        )
+        solution = solve_discrete(problem, tol=1e-10)
+        np.testing.assert_allclose(solution.density, [0.5, 0.0, 2.0, 0.0], rtol=1e-9)
+        assert solution.objective == pytest.approx(0.5 * 0.5**p + 2.0 * 2.0**p, rel=1e-9)
+
+
+def test_redundant_surface_ends_at_the_bound():
+    # the last surface carries twice the first one's weights, so every
+    # admissible density meets it with slack and its multiplier ends at
+    # the bound; cell 5, which only it reaches, then gets no density
+    rng = np.random.default_rng(31)
+    first = (np.array([0, 1, 2]), rng.uniform(0.2, 1.0, 3))
+    second = (np.array([2, 3, 4]), rng.uniform(0.2, 1.0, 3))
+    redundant = (np.array([0, 1, 2, 5]), np.append(2.0 * first[1], 1.0))
+    volumes = rng.uniform(0.5, 1.5, 6)
+    for p in (1.2, 2.0, 5.0):
+        def solve(*surfaces):
+            problem = DiscreteModulusProblem(
+                p=p, centers=np.zeros((6, 1)), volumes=volumes, surfaces=surfaces
+            )
+            return solve_discrete(problem, tol=1e-10)
+
+        solution = solve(first, second, redundant)
+        assert solution.density[5] == 0.0
+        assert solution.objective == pytest.approx(
+            solve(first, second).objective, rel=1e-9
+        )
 
 
 def test_duality_gap_certificate():
@@ -170,6 +224,33 @@ def test_solver_stops_at_the_certified_gap():
         assert solution.lower_bound <= solution.objective
         assert (solution.objective - solution.lower_bound) <= tol * solution.objective
         assert solution.max_constraint_violation <= tol
+
+
+@pytest.mark.parametrize("cells", [8, 16])
+@pytest.mark.parametrize("slant", [0.5, 1.0])
+def test_shear_rungs_certify_tightly(cells, slant):
+    # 3x-redundant surfaces make these duals ill-conditioned
+    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[slant]]).family
+    problem = discretize_family(
+        fam, 3.0, cells, 3 * cells, 4 * cells, rng=np.random.default_rng(1)
+    )
+    solution = solve_discrete(problem, tol=1e-10)
+    assert solution.objective - solution.lower_bound <= 1e-10 * solution.objective
+    assert solution.max_constraint_violation <= 1e-10
+
+
+def test_cross_validate_at_a_tight_tolerance():
+    entry = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])
+    rows = cross_validate(
+        entry.family,
+        3.0,
+        entry.expected_modulus(3.0),
+        [8, 16],
+        rng=np.random.default_rng(1),
+        tol=1e-8,
+    )
+    assert [row.resolution for row in rows] == [8, 16]
+    assert rows[1].relative_gap < rows[0].relative_gap
 
 
 def test_more_surfaces_cannot_shrink_the_modulus():
@@ -375,25 +456,3 @@ def test_cross_validate_rejects_nonpositive_reference():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
         cross_validate(fam, 2.0, 0.0, [4])
-
-
-def test_solver_runs_blas_single_threaded(monkeypatch):
-    import scipy.optimize
-
-    from surfmod import oracle
-
-    controls = oracle._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread control found in this process")
-    before = [get() for get, _ in controls]
-    seen = []
-    minimize = scipy.optimize.minimize
-
-    def recording(*args, **kwargs):
-        seen.append([get() for get, _ in controls])
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
-    solve_discrete(random_problem(np.random.default_rng(3)))
-    assert seen and all(counts == [1] * len(controls) for counts in seen)
-    assert [get() for get, _ in controls] == before
