@@ -221,15 +221,24 @@ def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
     def split(x, y):
         return (x[..., 0], y[..., 0]) if radius_first else (y[..., 0], x[..., 0])
 
+    # Filled in place: nested np.stack costs a pass per level.
     def polar_map(x, y):
         r, t = split(x, y)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2,))
+        np.multiply(r, np.cos(t), out=out[..., 0])
+        np.multiply(r, np.sin(t), out=out[..., 1])
+        return out
 
     def polar_jac(x, y):
         r, t = split(x, y)
         c, sn = np.cos(t), np.sin(t)
-        cols = [np.stack([c, sn], -1), np.stack([-r * sn, r * c], -1)]
-        return np.stack(cols if radius_first else cols[::-1], axis=-1)
+        dr, dt = (0, 1) if radius_first else (1, 0)
+        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2, 2))
+        out[..., 0, dr] = c
+        out[..., 1, dr] = sn
+        np.multiply(-r, sn, out=out[..., 0, dt])
+        np.multiply(r, c, out=out[..., 1, dt])
+        return out
 
     return ParametrizedFamily(n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac)
 

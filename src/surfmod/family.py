@@ -191,8 +191,9 @@ def _evaluate(fn, args: tuple, shape: tuple, label: str, names="xy"):
     out = np.asarray(fn(*args), dtype=float)
     if out.shape != (count,) + shape:
         raise EvaluationFailure(f"{label} returned shape {out.shape}, expected {(count,) + shape}")
-    bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
-    if bad.any():
+    # One whole-array reduction; the per-row mask only when it fails.
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
         i = int(np.argmax(bad))
         where = ", ".join(f"{name}={arg[i]}" for name, arg in zip(names, args))
         raise EvaluationFailure(f"{label} returned non-finite values at {where}")

@@ -41,10 +41,15 @@ def _column_norms(v) -> np.ndarray:
 
     Where a sum of squares leaves [1e-300, 1e300], the column is divided
     by its largest absolute entry first; elsewhere, and for zero, infinite
-    or NaN columns, the result is bit for bit that of ``np.linalg.norm``.
+    or NaN columns, the result is bit for bit that of ``np.linalg.norm``
+    when the last axis has fewer than 8 entries.
     """
+    # Summed one entry at a time, in order, as numpy sums fewer than 8
+    # terms; np.add.reduce over a short last axis pays a per-row cost.
     with np.errstate(over="ignore"):
-        squares = np.add.reduce(v * v, axis=-1)
+        squares = v[..., 0] * v[..., 0]
+        for j in range(1, v.shape[-1]):
+            squares += v[..., j] * v[..., j]
     norms = np.sqrt(squares)
     if squares.size and 1e-300 <= squares.min() and squares.max() <= 1e300:
         return norms

@@ -45,7 +45,7 @@ __all__ = [
 _TEXT_HEADER = "surfmod-discrete-problem 1"
 
 # Samples per block in discretize_family; bounds its temporaries.
-_SAMPLE_BLOCK = 1 << 12
+_SAMPLE_BLOCK = 1 << 13
 
 # Projected Newton: Marquardt damping at unit projected gradient, Armijo
 # fraction of the predicted decrease, and step halvings before giving up.
@@ -239,6 +239,13 @@ def discretize_family(
     factor times parameter cell volume) into the ambient cell that
     contains it.  With ``rng`` given, samples are jittered uniformly
     within their parameter cells; otherwise cell midpoints are used.
+
+    Each sample gets one key, its surface index times the cell count
+    plus the row-major index of its cell (coordinates outside the grid
+    are clipped onto its edge cells), and a surface's weight in a cell
+    is the sum of its samples' deposits there, in sample order.  Bins
+    whose sum is zero, such as those holding only zero-area samples,
+    are dropped.
     """
     conjugate_exponent(p)
     if cells_per_axis < 1 or surfaces_count < 1 or samples_per_surface < 1:
@@ -261,7 +268,6 @@ def discretize_family(
     box_lo = box_lo - padding * span
     box_hi = box_hi + padding * span
 
-    shape = (cells_per_axis,) * fam.n
     cell_widths = (box_hi - box_lo) / cells_per_axis
     cell_volume = float(np.prod(cell_widths))
     axes = [
@@ -290,13 +296,16 @@ def discretize_family(
             y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
         x_points = np.repeat(x_block, per_surface, axis=0)
         areas, images = _areas_and_images(fam, x_points, y_points.reshape(-1, fam.m))
-        keep = areas != 0.0
-        idx = ((images[keep] - box_lo) / cell_widths).astype(int)
-        flat = np.ravel_multi_index(tuple(np.clip(idx, 0, cells_per_axis - 1).T), shape)
-        surface = np.repeat(np.arange(len(x_block)), per_surface)[keep]
-        # Bin by (surface, cell) key; bincount sums each bin in sample order.
-        keys, inverse = np.unique(surface * n_cells + flat, return_inverse=True)
-        weights = np.bincount(inverse, weights=areas[keep] * sample_volume)
+        # Row-major (surface, cell) key, one image column at a time.
+        keys = np.repeat(np.arange(len(x_block)) * n_cells, per_surface)
+        for axis in range(fam.n):
+            column = ((images[:, axis] - box_lo[axis]) / cell_widths[axis]).astype(np.intp)
+            np.clip(column, 0, cells_per_axis - 1, out=column)
+            keys += column * cells_per_axis ** (fam.n - 1 - axis)
+        # bincount sums each bin in sample order; bins holding only
+        # zero-area samples sum to 0.0 and are dropped.
+        keys, inverse = np.unique(keys, return_inverse=True)
+        weights = np.bincount(inverse, weights=areas * sample_volume)
         keys, weights = keys[weights != 0.0], weights[weights != 0.0]
         cells = keys % n_cells
         bounds = np.searchsorted(keys // n_cells, np.arange(len(x_block) + 1)).tolist()
@@ -396,7 +405,8 @@ def solve_discrete(
     tighter: it may differ from a longer run's by up to ``tol``.  The
     rescale step amplifies the iteration's stationarity defect on
     problems with many redundant constraints, which the default ``tol``
-    leaves headroom for.
+    leaves headroom for.  A program without surfaces constrains nothing:
+    it returns the zero density, with zero objective, bound and steps.
 
     Raises
     ------
@@ -412,6 +422,14 @@ def solve_discrete(
 
     p = problem.p
     q = conjugate_exponent(p)
+    if problem.surface_count == 0:
+        return DiscreteSolution(
+            density=np.zeros(problem.cell_count),
+            objective=0.0,
+            max_constraint_violation=0.0,
+            iterations=0,
+            lower_bound=0.0,
+        )
     a = problem.constraint_matrix()
     empty = np.flatnonzero(a @ np.ones(problem.cell_count) <= 0.0)
     if empty.size:
@@ -446,7 +464,7 @@ def solve_discrete(
         At margins m = A density(lam), sum_c volume_c density_c^p is
         (lam . m) / p, so no further sparse product is needed.
         """
-        smallest = float(margins.min()) if margins.size else 0.0
+        smallest = float(margins.min())
         energy = float(lam @ margins)
         lower = float(lam.sum()) - energy / q
         if not smallest > 0.0:

@@ -176,6 +176,35 @@ def test_batch_with_a_misshapen_or_non_finite_jacobian_raises():
         node_fields(replace(fam, jacobian=lambda x, y: jac(x, y)[:, :1]), NODES_X, NODES_Y)
 
 
+def test_first_non_finite_row_is_named_deep_in_a_large_batch():
+    # two spoiled rows past the first 4096 of a 5000-node batch; the
+    # message names the earlier one, whichever callable returned them
+    count = 5000
+    x = np.linspace(0.01, 0.99, count)[:, None]
+    y = np.linspace(0.5, 1.9, count)[:, None]
+    spoiled = x[[4321, 4700], 0]
+    far = lambda x: np.isin(x[..., 0], spoiled)
+    named = re.escape(f"returned non-finite values at x={x[4321]}, y={y[4321]}")
+    fam = _polar(lambda x, y, z: np.where(far(x)[..., None], np.nan, z))
+    with pytest.raises(EvaluationFailure, match="^map " + named):
+        node_fields(fam, x, y, images=True)
+    jac = lambda x, y: np.where(far(x)[..., None, None], np.inf, _polar_jacobian(x, y))
+    with pytest.raises(EvaluationFailure, match="^jacobian " + named):
+        node_fields(replace(_polar(), jacobian=jac), x, y)
+    images = node_fields(_polar(), x, y, images=True).images
+    bad_z = lambda z: np.isin(z[..., 0], images[[4321, 4700], 0])
+    gradient = lambda z: np.ones(z.shape[:-1] + (1, 2))
+    sub = Submersion(
+        n=2,
+        k=1,
+        map=lambda z: np.arctan2(z[..., 1], z[..., 0])[..., None],
+        jacobian=lambda z: np.where(bad_z(z)[..., None, None], np.nan, gradient(z)),
+    )
+    named = re.escape(f"submersion jacobian returned non-finite values at z={images[4321]}")
+    with pytest.raises(EvaluationFailure, match=named):
+        node_fields(_polar(), x, y, submersion=sub)
+
+
 def test_batch_with_a_degenerate_node_raises():
     # |det J| of the polar map is the radius, which vanishes at y = 0
     y = NODES_Y.copy()

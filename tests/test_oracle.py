@@ -1,13 +1,17 @@
 """Discrete convex program: discretization, solver, and cross-validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from surfmod import (
+    BoxDomain,
     CrossValidationRow,
     DiscreteModulusProblem,
     InfeasibleSurface,
     NoConvergence,
+    ParametrizedFamily,
     conjugate_exponent,
     cross_validate,
     discretize_family,
@@ -16,6 +20,7 @@ from surfmod import (
     make_shear,
     solve_discrete,
 )
+from surfmod.linalg import stacked_norm
 
 
 def closed_form_single_surface(p, volumes, weights):
@@ -364,6 +369,16 @@ def test_infeasible_surface_raises():
         solve_discrete(problem)
 
 
+def test_program_without_surfaces_has_zero_optimum():
+    problem = DiscreteModulusProblem(p=2.0, centers=[[0.0]], volumes=[1.0], surfaces=())
+    solution = solve_discrete(problem)
+    np.testing.assert_array_equal(solution.density, [0.0])
+    assert solution.objective == 0.0
+    assert solution.lower_bound == 0.0
+    assert solution.max_constraint_violation == 0.0
+    assert solution.iterations == 0
+
+
 def test_iteration_cap_raises():
     problem = DiscreteModulusProblem(
         p=2.0,
@@ -456,3 +471,140 @@ def test_cross_validate_rejects_nonpositive_reference():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
         cross_validate(fam, 2.0, 0.0, [4])
+
+
+def _cubed_family():
+    """(x, y) -> (x, y^3): the area factor 3 y^2 vanishes at y = 0."""
+    return ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([-1.0], [1.0]),
+        map=lambda x, y: np.concatenate([x, y**3], axis=-1),
+        jacobian=lambda x, y: np.stack(
+            [
+                np.stack([np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])], -1),
+                np.stack([np.zeros_like(y[..., 0]), 3.0 * y[..., 0] ** 2], -1),
+            ],
+            -2,
+        ),
+    )
+
+
+def _arch_family(n):
+    """(x, y) -> (x, sin y_1, y_2, ...) with y_1 in (0, 3).
+
+    The top of the image, sin y_1 = 1, falls between the bounding-box
+    probes, so without padding the samples nearest y_1 = pi/2 land
+    above the grid and are clipped onto its edge cells.
+    """
+
+    def mapping(x, y):
+        z = np.concatenate([x, y], axis=-1)
+        z[..., 1] = np.sin(y[..., 0])
+        return z
+
+    def jacobian(x, y):
+        jac = np.zeros(x.shape[:-1] + (n, n)) + np.eye(n)
+        jac[..., 1, 1] = np.cos(y[..., 0])
+        return jac
+
+    return ParametrizedFamily(
+        n=n,
+        m=n - 1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([0.0] * (n - 1), [3.0] + [1.0] * (n - 2)),
+        map=mapping,
+        jacobian=jacobian,
+    )
+
+
+def _recorded(fam):
+    """``fam`` with every map and Jacobian value it returns appended to lists."""
+    images, jacobians = [], []
+
+    def record(fn, values):
+        def wrapper(x, y):
+            out = np.array(fn(x, y), dtype=float)
+            values.append(out)
+            return out
+
+        return wrapper
+
+    recording = replace(fam, map=record(fam.map, images), jacobian=record(fam.jacobian, jacobians))
+    return recording, images, jacobians
+
+
+def _reference_binning(fam, images, jacobians, cells, samples, padding):
+    """CSR arrays from the recorded kernel values, binned one sample at a time.
+
+    The first map call is the bounding-box probe; the rest are the
+    samples, surface by surface.  Returns the arrays and a count of the
+    clipped samples (cell coordinates outside the grid), the zero-area
+    samples and the bins holding only those.
+    """
+    probe = images[0]
+    lo, hi = probe.min(axis=0), probe.max(axis=0)
+    span = np.where(hi - lo > 0.0, hi - lo, 1.0)
+    lo, hi = lo - padding * span, hi + padding * span
+    widths = (hi - lo) / cells
+    points = np.concatenate(images[1:])
+    areas = stacked_norm(np.concatenate(jacobians)[:, :, fam.n - fam.m :])
+    per_surface = samples**fam.m
+    sample_volume = fam.surface_box.volume / per_surface
+    bins, clipped = {}, 0
+    for i, (point, area) in enumerate(zip(points, areas)):
+        raw = ((point - lo) / widths).astype(int)
+        clipped += int(np.any((raw < 0) | (raw >= cells)))
+        cell = np.ravel_multi_index(tuple(np.clip(raw, 0, cells - 1)), (cells,) * fam.n)
+        key = (i // per_surface, int(cell))
+        bins[key] = bins.get(key, 0.0) + float(area) * sample_volume
+    rows = [[] for _ in range(len(points) // per_surface)]
+    for (surface, cell), weight in sorted(bins.items()):
+        if weight != 0.0:
+            rows[surface].append((cell, weight))
+    data = np.array([w for row in rows for _, w in row])
+    indices = np.array([c for row in rows for c, _ in row])
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    counts = {
+        "clipped": clipped,
+        "zero areas": int(np.sum(areas == 0.0)),
+        "zero bins": sum(w == 0.0 for w in bins.values()),
+    }
+    return (data, indices, indptr), counts
+
+
+_UNIT = [(0.0, 1.0)]
+# family, cells per axis, surfaces, samples per surface axis, padding, and
+# the counts of the reference binning that must be nonzero at midpoints
+BINNING_CASES = {
+    "shear n=2": (lambda: make_shear(_UNIT, [(0.0, 1.5)], [[0.7]]).family, 6, 9, 13, 0.02, ()),
+    "rays, two blocks": (lambda: make_polar_annulus(1.0, 2.0).family, 16, 48, 256, 0.02, ()),
+    "parallel n=3": (lambda: make_parallel(_UNIT + [(0.0, 2.0)], _UNIT).family, 5, 6, 7, 0.02, ()),
+    "shear n=3": (
+        lambda: make_shear(_UNIT, _UNIT + [(0.5, 1.0)], [[0.3, -0.8]]).family, 5, 7, 6, 0.02, ()
+    ),
+    "shear n=4": (
+        lambda: make_shear(_UNIT * 2, _UNIT * 2, [[0.3, 0.1], [-0.2, 0.5]]).family,
+        4, 5, 5, 0.02, (),
+    ),
+    # y = 0 is a node: its sample shares a cell, or has one to itself
+    "zero areas": (_cubed_family, 6, 7, 15, 0.02, ("zero areas",)),
+    "zero-only bins": (_cubed_family, 16, 5, 3, 0.02, ("zero areas", "zero bins")),
+    "arch n=2, no padding": (lambda: _arch_family(2), 8, 6, 20, 0.0, ("clipped",)),
+    "arch n=3, no padding": (lambda: _arch_family(3), 4, 5, 20, 0.0, ("clipped",)),
+}
+
+
+@pytest.mark.parametrize("jitter", [None, 11], ids=["midpoints", "jittered"])
+@pytest.mark.parametrize("case", list(BINNING_CASES))
+def test_discretize_matches_an_independent_binning(case, jitter):
+    build, cells, surfaces, samples, padding, reached = BINNING_CASES[case]
+    fam, images, jacobians = _recorded(build())
+    rng = None if jitter is None else np.random.default_rng(jitter)
+    problem = discretize_family(fam, 2.0, cells, surfaces, samples, padding=padding, rng=rng)
+    want, counts = _reference_binning(fam, images, jacobians, cells, samples, padding)
+    for got, expected in zip(problem._csr, want):
+        np.testing.assert_array_equal(got, expected)
+    if jitter is None:
+        assert all(counts[name] > 0 for name in reached), counts
