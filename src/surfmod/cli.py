@@ -256,10 +256,12 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         ladder = tuple(int(r) for r in ladder)
         if not ladder or any(r < 1 for r in ladder):
             raise ConfigError("ladder must contain positive resolutions")
-    if getattr(args, "surfaces", None) is not None:
-        parameters["surfaces"] = int(args.surfaces)
-    if getattr(args, "samples", None) is not None:
-        parameters["samples"] = int(args.samples)
+    for count in ("surfaces", "samples"):
+        if getattr(args, count, None) is not None:
+            parameters[count] = int(getattr(args, count))
+        value = parameters.get(count)
+        if value is not None and (type(value) is not int or value < 1):
+            raise ConfigError(f"{count} must be a positive integer, got {value!r}")
 
     config = RunConfig(
         command=args.command,
@@ -418,9 +420,7 @@ def _run_cross_validate(config: RunConfig) -> int:
     )
     payload = {
         "family": entry.name,
-        "parameters": {
-            key: val for key, val in entry.parameters.items()
-        },
+        "parameters": dict(entry.parameters),
         "p": config.p,
         "expected_modulus": expected,
         "rows": [

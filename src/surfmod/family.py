@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateJacobian, EvaluationFailure, InconsistentSubmersion
 from .linalg import generalized_norm  # noqa: F401 -- traced here by perfbench/spans.py
-from .linalg import stacked_norm
+from .linalg import _stacked_abs_det, stacked_norm
 
 __all__ = [
     "BoxDomain",
@@ -212,18 +212,17 @@ def evaluate_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
     return _stacked_map(fam, x[None], y[None])[0]
 
 
-def _fd_columns(func, w0, lower, upper, coords, out_dim):
+def _fd_columns(func, w0, lower, upper, out_dim):
     """Central-difference derivative columns of ``func`` at each row of ``w0``.
 
     ``func`` maps an (N, d) array of points to (N, out_dim); the result
-    has shape (N, out_dim, len(coords)), one column per index in
-    ``coords``.  When bounds are given, the differencing center is
-    clamped so both sample points stay inside the open box (the
-    derivative is then taken at the inset point, an O(h) perturbation
-    that preserves second-order accuracy in the interior).
+    has shape (N, out_dim, d), one column per axis.  With bounds given,
+    the differencing center is clamped so both points stay inside the
+    open box (the derivative is then taken at the inset point, an O(h)
+    perturbation that preserves second-order accuracy in the interior).
     """
-    cols = np.empty((w0.shape[0], out_dim, len(coords)))
-    for pos, j in enumerate(coords):
+    cols = np.empty((w0.shape[0], out_dim, w0.shape[1]))
+    for j in range(w0.shape[1]):
         h = _FD_STEP * np.maximum(1.0, np.abs(w0[:, j]))
         center = w0[:, j]
         if lower is not None:
@@ -236,27 +235,21 @@ def _fd_columns(func, w0, lower, upper, coords, out_dim):
         wm = w0.copy()
         wp[:, j] = center + h
         wm[:, j] = center - h
-        cols[:, :, pos] = (func(wp) - func(wm)) / (wp[:, j] - wm[:, j])[:, None]
+        cols[:, :, j] = (func(wp) - func(wm)) / (wp[:, j] - wm[:, j])[:, None]
     return cols
 
 
-def _jacobian_columns(fam: ParametrizedFamily, x, y, cols=slice(None)) -> np.ndarray:
-    """Stacked Jacobian columns ``cols`` at the paired nodes, (N, n, ncols)."""
+def _jacobian_columns(fam: ParametrizedFamily, x, y) -> np.ndarray:
+    """Stacked Jacobians at the paired nodes, (N, n, n)."""
     n = fam.n
     if fam.jacobian is not None:
-        return _evaluate(fam.jacobian, (x, y), (n, n), "jacobian")[:, :, cols]
+        return _evaluate(fam.jacobian, (x, y), (n, n), "jacobian")
     k = n - fam.m
     lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
     upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
     func = lambda w: _stacked_map(fam, w[:, :k], w[:, k:])
     w0 = np.concatenate([x, y], axis=1)
-    return _fd_columns(func, w0, lower, upper, range(n)[cols], n)
-
-
-def _point_columns(fam: ParametrizedFamily, x, y, cols) -> np.ndarray:
-    x = _point(x, fam.n - fam.m, "x")
-    y = _point(y, fam.m, "y")
-    return _jacobian_columns(fam, x[None], y[None], cols)[0]
+    return _fd_columns(func, w0, lower, upper, n)
 
 
 def jacobian_full(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -268,7 +261,9 @@ def jacobian_full(fam: ParametrizedFamily, x, y) -> np.ndarray:
     finite differences with per-axis steps scaled to the coordinate
     magnitude and inset at the box boundary.
     """
-    return _point_columns(fam, x, y, slice(None))
+    x = _point(x, fam.n - fam.m, "x")
+    y = _point(y, fam.m, "y")
+    return _jacobian_columns(fam, x[None], y[None])[0]
 
 
 def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -277,7 +272,7 @@ def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
     Its generalized norm is the m-dimensional area-distortion factor of
     the surface through x at the point y.
     """
-    return _point_columns(fam, x, y, slice(fam.n - fam.m, None))
+    return jacobian_full(fam, x, y)[:, fam.n - fam.m :]
 
 
 class NodeFields(NamedTuple):
@@ -314,9 +309,10 @@ def node_fields(
     """|det J| and the y-block area factor at the paired nodes (x[i], y[i]).
 
     ``x`` has shape (N, n-m) and ``y`` shape (N, m); the family and the
-    submersion are called once per batch.  The area factor is a column
-    norm when m = 1 and the product of the diagonal of a stacked QR
-    factor otherwise.
+    submersion are called once per batch of at most ``_CHUNK`` nodes.
+    |det J| takes the closed form for n <= 3 and an LU factorization
+    otherwise; the area factor is a column norm when m = 1 and the
+    product of the diagonal of a stacked QR factor otherwise.
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node: misshapen or non-finite map and
@@ -339,7 +335,7 @@ def node_fields(
             *(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
         )
     jac = _jacobian_columns(fam, x, y)
-    dets = np.abs(np.linalg.det(jac))
+    dets = _stacked_abs_det(jac)
     if floor is not None and np.any(dets <= floor):
         i = int(np.argmax(dets <= floor))
         raise DegenerateJacobian(
@@ -365,7 +361,7 @@ def _submersion_columns(sub: Submersion, z) -> np.ndarray:
     if sub.jacobian is not None:
         return _evaluate(sub.jacobian, (z,), (k, n), "submersion jacobian", "z")
     func = lambda w: _evaluate(sub.map, (w,), (k,), "submersion", "z")
-    return _fd_columns(func, z, None, None, range(n), k)
+    return _fd_columns(func, z, None, None, k)
 
 
 def submersion_jacobian(sub: Submersion, z) -> np.ndarray:

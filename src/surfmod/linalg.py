@@ -84,6 +84,27 @@ def stacked_norm(a) -> np.ndarray:
     return np.abs(np.ldexp(np.prod(mantissas, axis=-1), np.sum(exponents, axis=-1)))
 
 
+def _stacked_abs_det(a) -> np.ndarray:
+    """|det| of every matrix in an (N, n, n) stack: the closed form for
+    n = 2 and 3 (there the triple product of the rows), and an LU
+    factorization for larger n and wherever the closed form overflows."""
+    if a.shape[-1] not in (2, 3):
+        return np.abs(np.linalg.det(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if a.shape[-1] == 2:
+            dets = np.abs(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
+        else:
+            dets = np.abs(
+                a[:, 0, 0] * (a[:, 1, 1] * a[:, 2, 2] - a[:, 1, 2] * a[:, 2, 1])
+                + a[:, 0, 1] * (a[:, 1, 2] * a[:, 2, 0] - a[:, 1, 0] * a[:, 2, 2])
+                + a[:, 0, 2] * (a[:, 1, 0] * a[:, 2, 1] - a[:, 1, 1] * a[:, 2, 0])
+            )
+        overflowed = ~np.isfinite(dets)
+        if overflowed.any():
+            dets[overflowed] = np.abs(np.linalg.det(a[overflowed]))
+    return dets
+
+
 def generalized_norm(a) -> float:
     """Volume-scaling norm of a rectangular matrix.
 

@@ -13,9 +13,11 @@ program
                density >= 0
 
 is solved through its smooth concave dual followed by a feasibility
-rescaling.  Because the two routes share nothing but the family, their
-agreement is evidence that the closed-form reduction is implemented
-correctly.
+rescaling.  The two routes share the family and the node-field kernel
+(|det J| and the area factors of :func:`surfmod.family.node_fields`,
+checked in ``tests/test_kernel.py`` against ``np.linalg.det`` and a sum
+over minors), but not l(x), the quadrature or the closed form, so their
+agreement is evidence that the reduction is implemented correctly.
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import family
 from .errors import InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, _jacobian_columns, _stacked_map, _tensor_pairs
-from .linalg import stacked_norm
+from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
@@ -63,9 +63,9 @@ def _compressed_rows(surfaces, cells: int) -> tuple:
     """(data, indices, indptr) of the (cell_indices, weights) pairs.
 
     Raises the ValueError of the first kind of fault found, checked over
-    all surfaces in the order shape, cell range, sign.  The arrays are
-    read-only and of the index type scipy.sparse picks for their sizes,
-    so a matrix built on them shares them instead of converting them.
+    all surfaces in the order shape, cell range, finite nonnegative sign.
+    The arrays are read-only and of the index type scipy.sparse picks for
+    their sizes, so a matrix built on them shares them, not converts them.
     """
     pairs = []
     for idx, w in surfaces:
@@ -78,8 +78,8 @@ def _compressed_rows(surfaces, cells: int) -> tuple:
     indptr = np.cumsum([0] + [i.size for i, _ in pairs])
     if np.any((indices < 0) | (indices >= cells)):
         raise ValueError("surface refers to a cell outside the grid")
-    if np.any(data < 0.0):
-        raise ValueError("surface weights must be nonnegative")
+    if not (np.isfinite(data) & (data >= 0.0)).all():
+        raise ValueError("surface weights must be finite and nonnegative")
     fits = max(cells, data.size) <= np.iinfo(np.int32).max
     index_type = np.int32 if fits else np.int64
     csr = (data, indices.astype(index_type), indptr.astype(index_type))
@@ -111,8 +111,10 @@ class DiscreteModulusProblem:
         volumes = np.asarray(self.volumes, dtype=float)
         if centers.shape[0] != volumes.shape[0]:
             raise ValueError("one volume per cell center is required")
-        if np.any(volumes <= 0.0):
-            raise ValueError("cell volumes must be positive")
+        if not (np.isfinite(volumes) & (volumes > 0.0)).all():
+            raise ValueError("cell volumes must be finite and positive")
+        if not np.isfinite(centers).all():
+            raise ValueError("cell centers must be finite")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", volumes)
         data, indices, indptr = _compressed_rows(self.surfaces, len(volumes))
@@ -295,7 +297,8 @@ def discretize_family(
         if rng is not None:
             y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
         x_points = np.repeat(x_block, per_surface, axis=0)
-        areas, images = _areas_and_images(fam, x_points, y_points.reshape(-1, fam.m))
+        fields = node_fields(fam, x_points, y_points.reshape(-1, fam.m), images=True)
+        areas, images = fields.areas, fields.images
         # Row-major (surface, cell) key, one image column at a time.
         keys = np.repeat(np.arange(len(x_block)) * n_cells, per_surface)
         for axis in range(fam.n):
@@ -316,23 +319,6 @@ def discretize_family(
     return DiscreteModulusProblem(
         p=float(p), centers=centers, volumes=volumes, surfaces=tuple(surfaces)
     )
-
-
-def _areas_and_images(fam: ParametrizedFamily, x, y) -> tuple:
-    """Area factors (N,) and images (N, n) at the paired nodes.
-
-    The y-block of J alone, so no |det J| and, for a finite-difference
-    family, only m difference columns.  Kernel calls take at most
-    ``family._CHUNK`` nodes; each checks shape and finiteness and names
-    the first bad node.
-    """
-    k = fam.n - fam.m
-    areas, images = [], []
-    for i in range(0, len(x), family._CHUNK):
-        xs, ys = x[i : i + family._CHUNK], y[i : i + family._CHUNK]
-        areas.append(stacked_norm(_jacobian_columns(fam, xs, ys, slice(k, None))))
-        images.append(_stacked_map(fam, xs, ys))
-    return np.concatenate(areas), np.concatenate(images)
 
 
 class _DualHessian:
@@ -579,14 +565,9 @@ def cross_validate(
     rows = []
     for resolution in grid_ladder:
         resolution = int(resolution)
-        problem = discretize_family(
-            fam,
-            p,
-            cells_per_axis=resolution,
-            surfaces_count=surfaces_count or 3 * resolution,
-            samples_per_surface=samples_per_surface or 4 * resolution,
-            rng=rng,
-        )
+        surfaces = 3 * resolution if surfaces_count is None else surfaces_count
+        samples = 4 * resolution if samples_per_surface is None else samples_per_surface
+        problem = discretize_family(fam, p, resolution, surfaces, samples, rng=rng)
         solution = solve_discrete(problem, tol=tol, max_iters=max_iters)
         gap = abs(solution.objective - expected) / expected
         rows.append(

@@ -159,6 +159,18 @@ def test_negative_seed_is_config_error():
         assert cli.main([command, "--family", "parallel", "--seed", "-1"]) == 2
 
 
+def test_nonpositive_oracle_counts_are_config_errors(tmp_path, capsys):
+    base = ["cross-validate", "--family", "parallel", "--ladder", "4"]
+    for flag in ("--surfaces", "--samples"):
+        for value in ("0", "-1"):
+            assert cli.main(base + [flag, value]) == 2
+            assert "must be a positive integer" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    for parameters in ({"surfaces": 0}, {"samples": -3}, {"samples": 2.5}):
+        config.write_text(json.dumps({"family": "parallel", "parameters": parameters}))
+        assert cli.main(["cross-validate", "--config", str(config), "--ladder", "4"]) == 2
+
+
 def test_malformed_box_is_config_error():
     assert cli.main(["compute", "--family", "parallel", "--u", "zero,two"]) == 2
 

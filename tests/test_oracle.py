@@ -52,8 +52,20 @@ def test_problem_validation():
         DiscreteModulusProblem(
             p=2.0, centers=[[0.0]], volumes=[1.0, 2.0], surfaces=()
         )
-    with pytest.raises(ValueError):
-        DiscreteModulusProblem(p=2.0, centers=[[0.0]], volumes=[0.0], surfaces=())
+    for volume in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="volumes must be finite and positive"):
+            DiscreteModulusProblem(p=2.0, centers=[[0.0]], volumes=[volume], surfaces=())
+    for center in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="centers must be finite"):
+            DiscreteModulusProblem(p=2.0, centers=[[center]], volumes=[1.0], surfaces=())
+    for weight in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DiscreteModulusProblem(
+                p=2.0,
+                centers=[[0.0]],
+                volumes=[1.0],
+                surfaces=((np.array([0]), np.array([weight])),),
+            )
     with pytest.raises(ValueError):
         DiscreteModulusProblem(
             p=2.0,
@@ -78,12 +90,18 @@ def test_validation_checks_shape_then_range_then_sign():
         )
 
     negative = (np.array([0]), np.array([-1.0]))
+    not_a_number = (np.array([0, 1]), np.array([1.0, np.nan]))
+    infinite = (np.array([1]), np.array([np.inf]))
     outside = (np.array([2]), np.array([1.0]))
     misshapen = (np.array([0, 1]), np.array([1.0]))
     cases = [
         ((negative, outside, misshapen), "matching index and weight"),
+        ((not_a_number, infinite, outside, misshapen), "matching index and weight"),
         ((negative, outside), "outside the grid"),
+        ((not_a_number, infinite, outside), "outside the grid"),
         ((negative,), "nonnegative"),
+        ((not_a_number,), "nonnegative"),
+        ((infinite,), "nonnegative"),
     ]
     for surfaces, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -410,6 +428,13 @@ def test_from_text_rejects_garbage():
     good = random_problem(np.random.default_rng(1)).to_text()
     with pytest.raises(ValueError):
         DiscreteModulusProblem.from_text(good.replace("cells", "cheese"))
+    # float() parses nan and inf; the problem itself rejects them
+    text = "surfmod-discrete-problem 1\np 2\ndim 1\ncells 1\n0 1\nsurfaces 1\n0:1\n"
+    assert DiscreteModulusProblem.from_text(text).to_text() == text
+    for cell, surface in (("nan 1", "0:1"), ("0 inf", "0:1"), ("0 1", "0:nan")):
+        spoiled = text.replace("\n0 1\n", f"\n{cell}\n").replace("0:1", surface)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteModulusProblem.from_text(spoiled)
 
 
 def test_discretize_weight_totals():
@@ -447,6 +472,8 @@ def test_discretize_validates_counts():
         discretize_family(fam, 2.0, 0, 3, 4)
     with pytest.raises(ValueError):
         discretize_family(fam, 2.0, 4, 0, 4)
+    with pytest.raises(ValueError):
+        discretize_family(fam, 2.0, 4, 3, 0)
 
 
 def test_flat_family_converges_within_band():
@@ -471,6 +498,16 @@ def test_cross_validate_rejects_nonpositive_reference():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     with pytest.raises(ValueError):
         cross_validate(fam, 2.0, 0.0, [4])
+
+
+def test_cross_validate_passes_explicit_counts_on():
+    # only a missing count takes the default; zero or negative ones are rejected
+    fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
+    for counts in ({"surfaces_count": 0}, {"samples_per_surface": 0}, {"surfaces_count": -1}):
+        with pytest.raises(ValueError, match=">= 1"):
+            cross_validate(fam, 2.0, 1.0, [4], **counts)
+    rows = cross_validate(fam, 2.0, 1.0, [4], surfaces_count=None, samples_per_surface=None)
+    assert rows == cross_validate(fam, 2.0, 1.0, [4], surfaces_count=12, samples_per_surface=16)
 
 
 def _cubed_family():
