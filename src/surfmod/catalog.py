@@ -25,6 +25,7 @@ from .family import (
     compose,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
+from .linalg import companion_block
 from .modulus import conjugate_exponent, modulus_p
 from .quadrature import QuadratureScheme
 
@@ -97,8 +98,66 @@ def _constant(matrix):
     return lambda w, *_: np.broadcast_to(matrix, w.shape[:-1] + matrix.shape)
 
 
-def _probe_consistency(fam: ParametrizedFamily, sub: Submersion, label: str):
-    _probe_key_relation(fam, sub, _PROBE_TOL, f"catalog entry {label!r}")
+def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping, transverse_name=None) -> CatalogEntry:
+    """The linear family w -> L w on U x V, with its closed form.
+
+    The submersion is z -> B z, with B the companion block of L
+    (B L = (I | 0)), so its level sets are the family's surfaces.  With
+    L_y the last m columns of L, A = sqrt(det(L_y^T L_y)) and J = |det L|,
+    every surface weighs l = vol(V) * A^q * J^(1-q), hence
+
+        modulus_p = vol(U) * l^(1-p),
+
+    attained by the constant density (A/J)^(q-1) / l.  With
+    ``transverse_name`` the entry links to the family [L_y | L_x] on
+    V x U, built the same way.
+    """
+    k, m = u.dim, v.dim
+    n = k + m
+    L = np.asarray(L, dtype=float)
+    b = companion_block(L, m)
+    # A C-ordered right operand halves the batched matmul's time.
+    lt = L.T.copy()
+    family = ParametrizedFamily(
+        n=n,
+        m=m,
+        param_box=u,
+        surface_box=v,
+        map=lambda x, y: np.concatenate([x, y], axis=-1) @ lt,
+        jacobian=_constant(L),
+    )
+    sub = Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
+    _probe_key_relation(family, sub, _PROBE_TOL, f"catalog entry {name!r}")
+
+    # numpy's det, not the node kernel, keeps the closed form independent
+    # of the code it checks; evaluated per call, not at build time.
+    def weight(e):
+        q = conjugate_exponent(e)
+        area = np.sqrt(np.linalg.det(L[:, k:].T @ L[:, k:]))
+        det = abs(np.linalg.det(L))
+        return area / det, q, v.volume * area**q * det ** (1.0 - q)
+
+    def expected_modulus(e):
+        _, _, l_val = weight(e)
+        return u.volume * l_val ** (1.0 - e)
+
+    def expected_density(e):
+        ratio, q, l_val = weight(e)
+        return ratio ** (q - 1.0) / l_val
+
+    transverse = None
+    if transverse_name is not None:
+        swapped = np.concatenate([L[:, k:], L[:, :k]], axis=1)  # [L_y | L_x]
+        transverse = _linear_entry(transverse_name, swapped, v, u, parameters)
+    return CatalogEntry(
+        name=name,
+        family=family,
+        expected_modulus=expected_modulus,
+        parameters=parameters,
+        submersion=sub,
+        transverse=transverse,
+        expected_density=expected_density,
+    )
 
 
 def make_parallel(param_box, surface_box) -> CatalogEntry:
@@ -111,51 +170,8 @@ def make_parallel(param_box, surface_box) -> CatalogEntry:
     """
     u = _box(param_box)
     v = _box(surface_box)
-    k, m = u.dim, v.dim
-    n = k + m
-    eye = np.eye(n)
-    flip = np.zeros((n, n))
-    flip[:k, m:] = np.eye(k)
-    flip[k:, :m] = np.eye(m)
-
-    family = ParametrizedFamily(
-        n=n,
-        m=m,
-        param_box=u,
-        surface_box=v,
-        map=lambda x, y: np.concatenate([x, y], axis=-1),
-        jacobian=_constant(eye),
-    )
-    sub = Submersion(n=n, k=k, map=lambda z: z[..., :k], jacobian=_constant(eye[:k]))
-    transverse_family = ParametrizedFamily(
-        n=n,
-        m=k,
-        param_box=v,
-        surface_box=u,
-        map=lambda x, y: np.concatenate([y, x], axis=-1),
-        jacobian=_constant(flip),
-    )
-    transverse_sub = Submersion(n=n, k=m, map=lambda z: z[..., k:], jacobian=_constant(eye[k:]))
-    transverse = CatalogEntry(
-        name="parallel-transverse",
-        family=transverse_family,
-        expected_modulus=lambda e: v.volume * u.volume ** (1.0 - e),
-        parameters={"u": _bounds(u), "v": _bounds(v)},
-        submersion=transverse_sub,
-        expected_density=lambda e: 1.0 / u.volume,
-    )
-    entry = CatalogEntry(
-        name="parallel",
-        family=family,
-        expected_modulus=lambda e: u.volume * v.volume ** (1.0 - e),
-        parameters={"u": _bounds(u), "v": _bounds(v)},
-        submersion=sub,
-        transverse=transverse,
-        expected_density=lambda e: 1.0 / v.volume,
-    )
-    _probe_consistency(family, sub, "parallel")
-    _probe_consistency(transverse_family, transverse_sub, "parallel-transverse")
-    return entry
+    parameters = {"u": _bounds(u), "v": _bounds(v)}
+    return _linear_entry("parallel", np.eye(u.dim + v.dim), u, v, parameters, "parallel-transverse")
 
 
 def make_shear(param_box, surface_box, shear) -> CatalogEntry:
@@ -172,43 +188,14 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
     u = _box(param_box)
     v = _box(surface_box)
     k, m = u.dim, v.dim
-    n = k + m
     s = np.atleast_2d(np.asarray(shear, dtype=float))
     if s.shape != (k, m):
         raise ValueError(
             f"shear matrix must have shape ({k}, {m}) for these boxes, got {s.shape}"
         )
-    gram_det = float(np.linalg.det(s.T @ s + np.eye(m)))
-
-    jac = np.zeros((n, n))
-    jac[:k, :k] = np.eye(k)
-    jac[:k, k:] = s
-    jac[k:, k:] = np.eye(m)
-    sub_jac = np.zeros((k, n))
-    sub_jac[:, :k] = np.eye(k)
-    sub_jac[:, k:] = -s
-
-    family = ParametrizedFamily(
-        n=n,
-        m=m,
-        param_box=u,
-        surface_box=v,
-        map=lambda x, y: np.concatenate([x + y @ s.T, y], axis=-1),
-        jacobian=_constant(jac),
-    )
-    sub = Submersion(n=n, k=k, map=lambda z: z[..., :k] - z[..., k:] @ s.T, jacobian=_constant(sub_jac))
-    entry = CatalogEntry(
-        name="shear",
-        family=family,
-        expected_modulus=lambda e: u.volume
-        * v.volume ** (1.0 - e)
-        * gram_det ** (-e / 2.0),
-        parameters={"u": _bounds(u), "v": _bounds(v), "b": s.tolist()},
-        submersion=sub,
-        expected_density=lambda e: 1.0 / (v.volume * np.sqrt(gram_det)),
-    )
-    _probe_consistency(family, sub, "shear")
-    return entry
+    L = np.eye(k + m)
+    L[:k, k:] = s
+    return _linear_entry("shear", L, u, v, {"u": _bounds(u), "v": _bounds(v), "b": s.tolist()})
 
 
 def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
@@ -310,8 +297,8 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
         raise ValueError(f"mode must be 'radial' or 'circular', got {mode!r}")
     radial = _annulus_radial(inner, outer)
     circular = _annulus_circular(inner, outer)
-    _probe_consistency(radial.family, radial.submersion, "annulus-radial")
-    _probe_consistency(circular.family, circular.submersion, "annulus-circular")
+    _probe_key_relation(radial.family, radial.submersion, _PROBE_TOL, "catalog entry 'annulus-radial'")
+    _probe_key_relation(circular.family, circular.submersion, _PROBE_TOL, "catalog entry 'annulus-circular'")
     if mode == "radial":
         return replace(radial, transverse=replace(circular, transverse=radial))
     return replace(circular, transverse=replace(radial, transverse=circular))
@@ -339,59 +326,8 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
     v = _box(surface_box)
     if u.dim != 1 or v.dim != 1:
         raise ValueError("this construction is planar; both boxes must be 1-d")
-    a = scale ** (1.0 / q)
-    b = scale ** (1.0 / p)
-
-    jac = np.array([[a, 0.0], [0.0, b]])
-    flip = np.array([[0.0, a], [b, 0.0]])
-
-    family = ParametrizedFamily(
-        n=2,
-        m=1,
-        param_box=u,
-        surface_box=v,
-        map=lambda x, y: np.stack([a * x[..., 0], b * y[..., 0]], axis=-1),
-        jacobian=_constant(jac),
-    )
-    sub = Submersion(n=2, k=1, map=lambda z: z[..., :1] / a, jacobian=_constant([[1 / a, 0.0]]))
-    transverse_family = ParametrizedFamily(
-        n=2,
-        m=1,
-        param_box=v,
-        surface_box=u,
-        map=lambda x, y: np.stack([a * y[..., 0], b * x[..., 0]], axis=-1),
-        jacobian=_constant(flip),
-    )
-    transverse_sub = Submersion(n=2, k=1, map=lambda z: z[..., 1:] / b, jacobian=_constant([[0.0, 1 / b]]))
-
-    def expected_vertical(e):
-        conj = conjugate_exponent(e)
-        weight = v.volume * b * a ** (1.0 - conj)
-        return u.volume * weight ** (1.0 - e)
-
-    def expected_horizontal(e):
-        conj = conjugate_exponent(e)
-        weight = u.volume * a * b ** (1.0 - conj)
-        return v.volume * weight ** (1.0 - e)
-
-    transverse = CatalogEntry(
-        name="pq-map-transverse",
-        family=transverse_family,
-        expected_modulus=expected_horizontal,
-        parameters={"p": p, "scale": scale},
-        submersion=transverse_sub,
-    )
-    entry = CatalogEntry(
-        name="pq-map",
-        family=family,
-        expected_modulus=expected_vertical,
-        parameters={"p": p, "scale": scale},
-        submersion=sub,
-        transverse=transverse,
-    )
-    _probe_consistency(family, sub, "pq-map")
-    _probe_consistency(transverse_family, transverse_sub, "pq-map-transverse")
-    return entry
+    L = np.diag([scale ** (1.0 / q), scale ** (1.0 / p)])
+    return _linear_entry("pq-map", L, u, v, {"p": p, "scale": scale}, "pq-map-transverse")
 
 
 def make_condenser(base: ParametrizedFamily, outer: AmbientMap, quad: QuadratureScheme | None = None) -> CatalogEntry:

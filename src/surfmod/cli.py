@@ -80,6 +80,13 @@ def _format_number(value) -> str:
     return format(value, ".17g")
 
 
+def _format_cell(cell) -> str:
+    """A CSV cell: text as it is, None empty, anything else a number."""
+    if cell is None:
+        return ""
+    return cell if isinstance(cell, str) else _format_number(cell)
+
+
 def _to_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -121,7 +128,7 @@ def _write_output(payload: dict, csv_rows, config: RunConfig):
         ]
         lines.append(",".join(header))
         for row in rows:
-            lines.append(",".join(_format_number(cell) for cell in row))
+            lines.append(",".join(_format_cell(cell) for cell in row))
         text = "\n".join(lines) + "\n"
     with open(config.output, "w", encoding="ascii") as handle:
         handle.write(text)
@@ -160,8 +167,24 @@ def _parse_ladder(text: str):
     return rungs
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+
+# The RunConfig fields a config file may set, each with the JSON types it
+# takes (null means "not given").
+_FILE_TYPES = {
+    "command": (str, "a string"),
+    "family": (str, "a string"),
+    "parameters": (dict, "an object"),
+    "p": ((int, float), "a number"),
+    "order": (int, "an integer"),
+    "subdivisions": (int, "an integer"),
+    "kind": (str, "a string"),
+    "ladder": ((list, str), "a list of integers or a string"),
+    "output": (str, "a string"),
+    "format": (str, "a string"),
+    "seed": (int, "an integer"),
+    "trials": (int, "an integer"),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -174,9 +197,13 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_FILE_TYPES)
     if unknown:
         raise ConfigError(f"config file has unknown keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        types, expected = _FILE_TYPES[key]
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     return data
 
 
@@ -253,9 +280,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(ladder, str):
         ladder = _parse_ladder(ladder)
     else:
-        ladder = tuple(int(r) for r in ladder)
-        if not ladder or any(r < 1 for r in ladder):
-            raise ConfigError("ladder must contain positive resolutions")
+        ladder = tuple(ladder)
+        if not ladder or any(type(r) is not int or r < 1 for r in ladder):
+            raise ConfigError(
+                f"config key 'ladder' must hold positive integer resolutions, got {list(ladder)!r}"
+            )
     for count in ("surfaces", "samples"):
         if getattr(args, count, None) is not None:
             parameters[count] = int(getattr(args, count))
@@ -382,15 +411,8 @@ def _run_verify(config: RunConfig) -> int:
         "seed": config.seed,
     }
     header = ["name", "passed", "value", "tolerance"]
-    rows = [
-        [c["name"], c.get("passed"), c.get("value", ""), c.get("tolerance", "")]
-        for c in checks
-    ]
-    csv_rows = [
-        [str(cell) if not isinstance(cell, (int, float)) or isinstance(cell, bool) else cell for cell in row]
-        for row in rows
-    ]
-    _write_output(payload, (header, csv_rows), config)
+    rows = [[c["name"], c["passed"], c.get("value"), c.get("tolerance")] for c in checks]
+    _write_output(payload, (header, rows), config)
     failed = False
     for check in checks:
         if check.get("skipped"):

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateJacobian, EvaluationFailure, InconsistentSubmersion
+from .errors import DegenerateJacobian, EvaluationFailure, InconsistentSubmersion, NonFiniteIntegrand
 from .linalg import generalized_norm  # noqa: F401 -- traced here by perfbench/spans.py
 from .linalg import _stacked_abs_det, stacked_norm
 
@@ -316,8 +316,9 @@ def node_fields(
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node: misshapen or non-finite map and
-    Jacobian values raise EvaluationFailure, and with ``floor`` given a
-    node whose |det J| is at or below it raises DegenerateJacobian.  With
+    Jacobian values raise EvaluationFailure, a |det J| that overflows
+    raises NonFiniteIntegrand, and with ``floor`` given a node whose
+    |det J| is at or below it raises DegenerateJacobian.  With
     ``images`` the map values are returned too; with ``submersion`` they
     are, along with the norm of the submersion's derivative at each.
     """
@@ -336,6 +337,9 @@ def node_fields(
         )
     jac = _jacobian_columns(fam, x, y)
     dets = _stacked_abs_det(jac)
+    if not np.isfinite(dets).all():
+        i = int(np.argmax(~np.isfinite(dets)))
+        raise NonFiniteIntegrand(f"|det J| = {dets[i]} at x={x[i]}, y={y[i]} is not finite")
     if floor is not None and np.any(dets <= floor):
         i = int(np.argmax(dets <= floor))
         raise DegenerateJacobian(

@@ -87,10 +87,11 @@ def stacked_norm(a) -> np.ndarray:
 def _stacked_abs_det(a) -> np.ndarray:
     """|det| of every matrix in an (N, n, n) stack: the closed form for
     n = 2 and 3 (there the triple product of the rows), and an LU
-    factorization for larger n and wherever the closed form overflows."""
-    if a.shape[-1] not in (2, 3):
-        return np.abs(np.linalg.det(a))
+    factorization for larger n and wherever the closed form overflows.
+    A determinant that overflows comes back as inf, without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if a.shape[-1] not in (2, 3):
+            return np.abs(np.linalg.det(a))
         if a.shape[-1] == 2:
             dets = np.abs(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0])
         else:

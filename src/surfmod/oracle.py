@@ -31,7 +31,7 @@ from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
-from .modulus import ModulusReport, conjugate_exponent
+from .modulus import conjugate_exponent
 
 __all__ = [
     "DiscreteModulusProblem",
@@ -542,7 +542,7 @@ def solve_discrete(
 def cross_validate(
     fam: ParametrizedFamily,
     p: float,
-    analytic,
+    analytic: float,
     grid_ladder,
     surfaces_count: int | None = None,
     samples_per_surface: int | None = None,
@@ -552,14 +552,14 @@ def cross_validate(
 ) -> list:
     """Discrete moduli along a ladder of grid resolutions.
 
-    ``analytic`` may be a ModulusReport or a plain number.  For each
+    ``analytic`` is the reference modulus, a positive number.  For each
     resolution the surface count defaults to 3x and the per-surface
     sample count to 4x the cells per axis, keeping neighboring surfaces
     closer than a cell so the sampled family constrains every corridor
     of the grid.  Returns one CrossValidationRow per rung; gaps are
     reported, not enforced.
     """
-    expected = analytic.modulus if isinstance(analytic, ModulusReport) else float(analytic)
+    expected = float(analytic)
     if not expected > 0.0:
         raise ValueError("the analytic modulus must be positive")
     rows = []

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from surfmod import (
     AmbientMap,
@@ -20,7 +21,11 @@ from surfmod import (
     make_shear,
     modulus_p,
     standard_entries,
+    submersion_modulus,
 )
+from surfmod.catalog import _box, _linear_entry
+
+from _oracles import minor_sum_norm, well_conditioned
 
 LIGHT = QuadratureScheme(order=8, subdivisions=2)
 
@@ -55,6 +60,54 @@ def test_pq_map_transverse_product():
         assert direct ** (1.0 / p) * crossed ** (1.0 / q) == pytest.approx(
             1.0, rel=1e-8
         )
+
+
+def test_parallel_transverse_with_unequal_dimensions():
+    # k = 2 parameter axes, m = 1 surface axis: the transverse family sweeps
+    # the slices U x {y}, mapping (x_v, y_u) to (y_u, x_v)
+    entry = make_parallel([(0.0, 2.0), (0.0, 1.0)], [(0.0, 3.0)])
+    crossed = entry.transverse
+    assert (crossed.family.n, crossed.family.m) == (3, 2)
+    x_v = np.array([[0.7], [2.5]])
+    y_u = np.array([[0.3, 0.4], [1.5, 0.2]])
+    images = np.concatenate([y_u, x_v], axis=-1)
+    np.testing.assert_array_equal(crossed.family.map(x_v, y_u), images)
+    np.testing.assert_array_equal(crossed.submersion.map(images), x_v)
+    for p in (1.5, 3.0):
+        q = conjugate_exponent(p)
+        assert crossed.expected_modulus(q) == pytest.approx(3.0 * 2.0 ** (1.0 - q), rel=1e-15)
+        assert modulus_p(crossed.family, q, LIGHT).modulus == pytest.approx(
+            crossed.expected_modulus(q), rel=1e-12
+        )
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.data())
+def test_random_linear_families(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    k = n - m
+    matrix = well_conditioned(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")), n)
+    corner = st.floats(-1.0, 1.0)
+    width = st.floats(0.25, 2.0)
+    u = _box([(lo, lo + data.draw(width)) for lo in data.draw(st.lists(corner, min_size=k, max_size=k))])
+    v = _box([(lo, lo + data.draw(width)) for lo in data.draw(st.lists(corner, min_size=m, max_size=m))])
+    p = data.draw(st.floats(1.25, 4.0), label="p")
+    q = conjugate_exponent(p)
+    entry = _linear_entry("linear", matrix, u, v, {}, "linear-transverse")
+    quad = QuadratureScheme(2, 1)
+    direct = modulus_p(entry.family, p, quad).modulus
+    assert direct == pytest.approx(entry.expected_modulus(p), rel=1e-10)
+    assert submersion_modulus(entry.submersion, entry.family, p, quad).modulus == pytest.approx(
+        direct, rel=1e-10
+    )
+    # reciprocal pair: the product is |det L| / (|L_y| |L_x|), at most one
+    # (Fischer's inequality), with equality when the column blocks are orthogonal
+    crossed = modulus_p(entry.transverse.family, q, quad).modulus
+    product = direct ** (1.0 / p) * crossed ** (1.0 / q)
+    bound = abs(np.linalg.det(matrix)) / (minor_sum_norm(matrix[:, k:]) * minor_sum_norm(matrix[:, :k]))
+    assert product == pytest.approx(bound, rel=1e-10)
+    assert bound <= 1.0 + 1e-12
 
 
 def test_annulus_reciprocal_pair_at_two():
@@ -111,6 +164,15 @@ def test_shear_constant_density_value():
     density = extremal_density(entry.family, 2.0, LIGHT)
     expected = entry.expected_density(2.0)
     assert expected == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-13)
+    assert density.evaluate_param([0.4], [0.7]) == pytest.approx(expected, rel=1e-10)
+
+
+def test_pq_map_constant_density_value():
+    # 1 / (vol(V) b) with b = scale^(1/p)
+    entry = make_pq_map(3.0, scale=2.0, surface_box=[(0.0, 1.5)])
+    expected = entry.expected_density(3.0)
+    assert expected == pytest.approx(1.0 / (1.5 * 2.0 ** (1.0 / 3.0)), rel=1e-13)
+    density = extremal_density(entry.family, 3.0, LIGHT)
     assert density.evaluate_param([0.4], [0.7]) == pytest.approx(expected, rel=1e-10)
 
 

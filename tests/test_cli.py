@@ -121,6 +121,26 @@ def test_verify_skips_missing_submersion(capsys):
     assert "PASS admissibility" in captured
 
 
+@pytest.mark.parametrize("family", ["annulus-radial", "condenser"])
+def test_verify_csv(tmp_path, family):
+    # annulus-radial has a submersion; the condenser skips coarea and route-equivalence
+    out = tmp_path / "verify.csv"
+    code = cli.main(
+        ["verify", "--family", family] + FAST + ["--trials", "5", "--format", "csv", "--output", str(out)]
+    )
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0] == "name,passed,value,tolerance"
+    cells = {row.split(",")[0]: row.split(",")[1:] for row in rows[1:]}
+    assert list(cells) == ["admissibility", "coarea", "route-equivalence", "extremality"]
+    for name, (passed, value, tolerance) in cells.items():
+        if family == "condenser" and name in ("coarea", "route-equivalence"):
+            assert (passed, value, tolerance) == ("", "", "")
+        else:
+            assert passed == "true"
+            float(value), float(tolerance)
+
+
 def test_cross_validate_within_band(tmp_path, capsys):
     out = tmp_path / "ladder.json"
     code = cli.main(
@@ -240,6 +260,28 @@ def test_config_unknown_key(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"family": "parallel", "colour": "red"}))
     assert cli.main(["compute", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p", "abc"),
+        ("p", True),
+        ("ladder", 5),
+        ("ladder", [16, 1.5]),
+        ("parameters", [1, 2]),
+        ("seed", 1.5),
+        ("order", 6.5),
+        ("subdivisions", "2"),
+        ("trials", 2.5),
+        ("output", ["result.json"]),
+    ],
+)
+def test_config_value_of_wrong_type(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"family": "parallel", key: value}))
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_number_formatting_survives_parsing():

@@ -12,6 +12,7 @@ from surfmod import (
     DegenerateJacobian,
     EvaluationFailure,
     InconsistentSubmersion,
+    NonFiniteIntegrand,
     ParametrizedFamily,
     QuadratureScheme,
     Submersion,
@@ -259,6 +260,20 @@ def test_closed_form_det_matches_lapack(n):
     huge = big * (np.ones((3, n, n)) + np.eye(n) * [[[1e-14]], [[2e-14]], [[3e-14]]])
     assert np.isfinite(lapack(huge)).all()
     np.testing.assert_array_equal(_stack_dets(huge), lapack(huge))
+
+
+@pytest.mark.parametrize("k, m, scale", [(1, 1, 1e160), (2, 2, 1e80)])
+def test_overflowing_det_is_a_non_finite_integrand(k, m, scale):
+    # |det J| = scale^n overflows: the LU path at n = 4 must not warn, and
+    # n = 2 must not pass inf on to the degeneracy floor
+    entry = make_shear([(0.0, 1.0)] * k, [(0.0, 1.0)] * m, np.full((k, m), 0.5))
+    jac = entry.family.jacobian
+    fam = replace(entry.family, jacobian=lambda x, y: scale * jac(x, y))
+    with pytest.raises(NonFiniteIntegrand, match=re.escape("|det J| = inf at x=")):
+        modulus_p(fam, 2.0, QuadratureScheme(2, 1))
+    x, y = random_nodes(np.random.default_rng(3), fam, 5)
+    with pytest.raises(NonFiniteIntegrand, match=re.escape(f"at x={x[0]}, y={y[0]} is not finite")):
+        node_fields(fam, x, y)
 
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
