@@ -49,7 +49,7 @@ _PROBE_TOL = 1e-5
 
 def default_quadrature() -> QuadratureScheme:
     """Gauss-Legendre rule of order 12 on 4 cells per axis."""
-    return QuadratureScheme(order=12, subdivisions=4, kind="gauss")
+    return QuadratureScheme(order=12, subdivisions=4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +57,11 @@ class CatalogEntry:
     """A named family together with its exact modulus.
 
     ``expected_modulus`` maps any exponent p > 1 to the closed-form
-    modulus (for an entry built by :func:`make_condenser`, to a direct
-    numerical evaluation, since no closed form exists in general; the
-    registry's "condenser" entry carries its closed form sx * sy^(1-p)).
+    modulus.  An entry built by :func:`make_condenser`, which pushes any
+    family through any :class:`AmbientMap`, has no closed form in
+    general and maps p to a direct numerical evaluation instead; the
+    registry's "condenser" entry, diag(sx, sy) on the unit parallel
+    family, carries its closed form |sx| * |sy|^(1-p).
     ``expected_density`` is the constant value of the extremal density as
     a function of p for families whose extremal density is constant, and
     None otherwise.  ``transverse``
@@ -330,24 +332,22 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
     return _linear_entry("pq-map", L, u, v, {"p": p, "scale": scale}, "pq-map-transverse")
 
 
-def make_condenser(base: ParametrizedFamily, outer: AmbientMap, quad: QuadratureScheme | None = None) -> CatalogEntry:
+def make_condenser(base: ParametrizedFamily, outer: AmbientMap) -> CatalogEntry:
     """Image of a family under a diffeomorphism of the ambient space.
 
     The composed map parametrizes the image family directly, with the
     chain rule supplying its Jacobian.  No closed form exists in
     general, so ``expected_modulus`` evaluates the composed family with
-    the reduction formula at the given (default: catalog default)
-    quadrature; tests compare it against special cases and the discrete
-    oracle.
+    the reduction formula under :func:`default_quadrature`; tests
+    compare it against special cases and the discrete oracle.
     """
     if isinstance(base, CatalogEntry):
         base = base.family
     composed = compose(base, outer)
-    quad = quad or default_quadrature()
     return CatalogEntry(
         name="condenser",
         family=composed,
-        expected_modulus=lambda e: modulus_p(composed, e, quad).modulus,
+        expected_modulus=lambda e: modulus_p(composed, e, default_quadrature()).modulus,
         parameters={},
     )
 
@@ -393,14 +393,17 @@ def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) ->
         if name == "condenser":
             sx = float(params.get("sx", 2.0))
             sy = float(params.get("sy", 1.0))
+            if not (np.isfinite(sx) and np.isfinite(sy)) or sx == 0.0 or sy == 0.0:
+                raise ValueError(f"sx and sy must be finite and nonzero, got ({sx}, {sy})")
             base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
             diag = np.array([[sx, 0.0], [0.0, sy]])
             outer = AmbientMap(n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag))
             # Unit flat surfaces stretched by diag(sx, sy) all weigh
-            # l = sx^(1-q) sy, and (1-q)(1-p) = 1 gives sx sy^(1-p).
+            # l = |sx|^(1-q) |sy|, and (1-q)(1-p) = 1 gives
+            # |sx| |sy|^(1-p); a reflection keeps the modulus.
             return replace(
                 make_condenser(base, outer),
-                expected_modulus=lambda e: sx * sy ** (1.0 - e),
+                expected_modulus=lambda e: abs(sx) * abs(sy) ** (1.0 - e),
             )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid parameters for family {name!r}: {exc}") from exc

@@ -56,7 +56,6 @@ class RunConfig:
     p: float = 2.0
     order: int = 12
     subdivisions: int = 4
-    kind: str = "gauss"
     ladder: tuple = (16, 32, 64)
     output: str | None = None
     format: str = "json"
@@ -178,7 +177,6 @@ _FILE_TYPES = {
     "p": ((int, float), "a number"),
     "order": (int, "an integer"),
     "subdivisions": (int, "an integer"),
-    "kind": (str, "a string"),
     "ladder": ((list, str), "a list of integers or a string"),
     "output": (str, "a string"),
     "format": (str, "a string"),
@@ -232,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--sy", type=float, help="second diagonal entry (condenser)")
         cmd.add_argument("--order", type=int, help="quadrature order per cell")
         cmd.add_argument("--subdivisions", type=int, help="quadrature cells per axis")
-        cmd.add_argument("--kind", choices=["gauss", "midpoint"], help="quadrature kind")
         cmd.add_argument("--seed", type=int, help="random seed, recorded in the output")
         cmd.add_argument("--output", help="path of the result file")
         cmd.add_argument("--format", choices=["json", "csv"], help="result file format")
@@ -299,7 +296,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         p=float(pick("p")),
         order=int(pick("order")),
         subdivisions=int(pick("subdivisions")),
-        kind=str(pick("kind")),
         ladder=ladder,
         output=pick("output"),
         format=str(pick("format")),
@@ -313,7 +309,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if config.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {config.seed}")
     try:
-        QuadratureScheme(config.order, config.subdivisions, config.kind)
+        QuadratureScheme(config.order, config.subdivisions)
         conjugate_exponent(config.p)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -323,13 +319,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 # -- command implementations -------------------------------------------
 
 
-def _quadrature(config: RunConfig) -> QuadratureScheme:
-    return QuadratureScheme(config.order, config.subdivisions, config.kind)
-
-
 def _run_compute(config: RunConfig) -> int:
     entry = build_entry(config.family, config.parameters, p=config.p)
-    quad = _quadrature(config)
+    quad = QuadratureScheme(config.order, config.subdivisions)
     report = modulus_p(entry.family, config.p, quad)
     expected = float(entry.expected_modulus(config.p))
     relative_error = abs(report.modulus - expected) / abs(expected)
@@ -350,7 +342,6 @@ def _run_compute(config: RunConfig) -> int:
             "quadrature": {
                 "order": config.order,
                 "subdivisions": config.subdivisions,
-                "kind": config.kind,
             },
         },
         "seed": config.seed,
@@ -373,7 +364,7 @@ def _check(name: str, passed: bool, value: float, tolerance: float) -> dict:
 
 def _run_verify(config: RunConfig) -> int:
     entry = build_entry(config.family, config.parameters, p=config.p)
-    quad = _quadrature(config)
+    quad = QuadratureScheme(config.order, config.subdivisions)
     fam = entry.family
     report = modulus_p(fam, config.p, quad)
     checks = []

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import SingularMatrix
 
 __all__ = [
-    "RCOND_THRESHOLD",
     "generalized_norm",
     "stacked_norm",
     "companion_block",
@@ -26,7 +25,7 @@ __all__ = [
 ]
 
 # Reciprocal condition number below which a matrix is treated as singular.
-RCOND_THRESHOLD = 1e-12
+_RCOND_THRESHOLD = 1e-12
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -117,7 +116,7 @@ def generalized_norm(a) -> float:
     return float(stacked_norm(_as_matrix(a)[None])[0])
 
 
-def companion_block(a, m: int, rcond_threshold: float = RCOND_THRESHOLD) -> np.ndarray:
+def companion_block(a, m: int) -> np.ndarray:
     """First n-m rows of the inverse of a square matrix.
 
     For invertible A of size n x n, the returned (n-m) x n block B
@@ -130,14 +129,11 @@ def companion_block(a, m: int, rcond_threshold: float = RCOND_THRESHOLD) -> np.n
         Square invertible matrix, shape (n, n).
     m : int
         Number of trailing columns to annihilate, 1 <= m <= n-1.
-    rcond_threshold : float, optional
-        Matrices whose reciprocal condition number falls below this are
-        rejected as singular.
 
     Raises
     ------
     SingularMatrix
-        If the reciprocal condition number of ``a`` is below threshold.
+        If the reciprocal condition number of ``a`` is below 1e-12.
     ValueError
         If ``a`` is not square or ``m`` is out of range.
     """
@@ -148,10 +144,10 @@ def companion_block(a, m: int, rcond_threshold: float = RCOND_THRESHOLD) -> np.n
     if not 1 <= m <= n - 1:
         raise ValueError(f"m must satisfy 1 <= m <= n-1, got m={m} for n={n}")
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or 1.0 / cond < rcond_threshold:
+    if not np.isfinite(cond) or 1.0 / cond < _RCOND_THRESHOLD:
         raise SingularMatrix(
             f"reciprocal condition number {0.0 if not np.isfinite(cond) else 1.0 / cond:.3e} "
-            f"below {rcond_threshold:.1e}"
+            f"below {_RCOND_THRESHOLD:.1e}"
         )
     # Solve A^T X = E for the first n-m columns E of the identity; the
     # transpose of X is the desired row block of A^{-1}.

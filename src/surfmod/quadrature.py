@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,8 +23,9 @@ def _gauss_reference(order: int):
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Composite tensor-product rule: ``subdivisions`` equal cells per axis,
-    each carrying a Gauss-Legendre rule of the given ``order`` (or a single
-    midpoint node for kind="midpoint").
+    each carrying a Gauss-Legendre rule of the given ``order``.  Order 1
+    is the composite midpoint rule: one node at each cell's center,
+    weighted by the cell's length.
 
     Weights are positive and sum to the cell volume cell by cell, so the
     rule integrates constants exactly at any order.
@@ -31,27 +33,20 @@ class QuadratureScheme:
 
     order: int = 12
     subdivisions: int = 4
-    kind: str = "gauss"
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.subdivisions < 1:
-            raise ValueError(f"subdivisions must be >= 1, got {self.subdivisions}")
-        if self.kind not in ("gauss", "midpoint"):
-            raise ValueError(f"kind must be 'gauss' or 'midpoint', got {self.kind!r}")
-        if self.kind == "midpoint" and self.order != 1:
-            raise ValueError("the midpoint rule has a single node; use order=1")
+        for name in ("order", "subdivisions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def axis_rule(self, lower: float, upper: float):
         """Composite 1-d rule on (lower, upper): returns (nodes, weights)."""
         if not lower < upper:
             raise ValueError(f"need lower < upper, got ({lower}, {upper})")
         edges = np.linspace(lower, upper, self.subdivisions + 1)
-        if self.kind == "midpoint":
-            nodes = 0.5 * (edges[:-1] + edges[1:])
-            weights = np.diff(edges)
-            return nodes, weights
         ref_nodes, ref_weights = _gauss_reference(self.order)
         centers = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)

@@ -181,7 +181,7 @@ def test_condenser_identity_outer_is_base():
     outer = AmbientMap(
         n=2, map=lambda z: z, jacobian=lambda z: np.broadcast_to(np.eye(2), z.shape[:-1] + (2, 2))
     )
-    entry = make_condenser(base, outer, quad=LIGHT)
+    entry = make_condenser(base, outer)
     assert entry.expected_modulus(2.0) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -191,7 +191,7 @@ def test_condenser_shear_outer_matches_shear_family():
     outer = AmbientMap(
         n=2, map=lambda z: z @ tilt.T, jacobian=lambda z: np.broadcast_to(tilt, z.shape[:-1] + (2, 2))
     )
-    entry = make_condenser(base, outer, quad=LIGHT)
+    entry = make_condenser(base, outer)
     direct = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])
     for p in (1.5, 2.0, 3.0):
         assert entry.expected_modulus(p) == pytest.approx(
@@ -207,6 +207,24 @@ def test_condenser_diagonal_stretch_closed_form():
         assert entry.expected_modulus(p) == pytest.approx(2.0, rel=1e-9)
         report = modulus_p(entry.family, p, LIGHT)
         assert report.modulus == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("sx, sy", [(-1.7, 0.6), (1.7, -0.6), (-1.7, -0.6), (-1.0, 1.0), (2.0, -0.5)])
+def test_condenser_with_negative_entries(sx, sy):
+    # a reflection keeps the modulus: the closed form is |sx| |sy|^(1-p)
+    entry = build_entry("condenser", {"sx": sx, "sy": sy})
+    for p in (1.5, 2.5, 3.0):
+        closed_form = abs(sx) * abs(sy) ** (1.0 - p)
+        assert entry.expected_modulus(p) == pytest.approx(closed_form, rel=1e-15)
+        report = modulus_p(entry.family, p, LIGHT)
+        assert report.modulus == pytest.approx(closed_form, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", ["sx", "sy"])
+@pytest.mark.parametrize("value", [0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+def test_condenser_rejects_zero_and_non_finite_entries(key, value):
+    with pytest.raises(ConfigError, match="finite and nonzero"):
+        build_entry("condenser", {key: value})
 
 
 def test_catalog_validation_errors():

@@ -49,7 +49,7 @@ def test_compute_parallel_json(tmp_path):
         assert sample["l"] == pytest.approx(3.0, rel=1e-12)
     diag = data["diagnostics"]
     assert diag["node_count"] == 144
-    assert diag["quadrature"]["order"] == 6
+    assert diag["quadrature"] == {"order": 6, "subdivisions": 2}
 
 
 def test_compute_condenser_against_closed_form(tmp_path):
@@ -64,6 +64,35 @@ def test_compute_condenser_against_closed_form(tmp_path):
     assert data["expected_modulus"] == pytest.approx(closed_form, rel=1e-15)
     assert data["modulus"] == pytest.approx(closed_form, rel=1e-12)
     assert data["relative_error"] < 1e-12
+
+
+@pytest.mark.parametrize("sx, sy, p", [(-1.0, 1.0, 2.0), (2.0, -0.5, 2.5), (-1.7, -0.6, 2.5)])
+def test_compute_condenser_with_negative_entries(tmp_path, sx, sy, p):
+    out = tmp_path / "result.json"
+    code = cli.main(
+        ["compute", "--family", "condenser", "--p", str(p), "--sx", str(sx), "--sy", str(sy)]
+        + ["--output", str(out)]
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    closed_form = abs(sx) * abs(sy) ** (1.0 - p)
+    assert data["expected_modulus"] == pytest.approx(closed_form, rel=1e-15)
+    assert data["relative_error"] < 1e-12
+
+
+def test_cross_validate_condenser_with_negative_entry(capsys):
+    code = cli.main(
+        ["cross-validate", "--family", "condenser", "--sx", "-1.5", "--sy", "0.8", "--ladder", "16,64"]
+    )
+    assert code == 0
+    assert "PASS final gap" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "cross-validate"])
+@pytest.mark.parametrize("flag, value", [("--sx", "0"), ("--sx", "nan"), ("--sy", "inf"), ("--sy", "-0")])
+def test_zero_or_non_finite_condenser_entry_is_config_error(capsys, command, flag, value):
+    assert cli.main([command, "--family", "condenser", flag, value]) == 2
+    assert "finite and nonzero" in capsys.readouterr().err
 
 
 def test_json_round_trip_is_byte_identical(tmp_path):
@@ -260,6 +289,16 @@ def test_config_unknown_key(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"family": "parallel", "colour": "red"}))
     assert cli.main(["compute", "--config", str(config)]) == 2
+
+
+def test_quadrature_kind_is_not_an_option(tmp_path, capsys):
+    # the Gauss-Legendre rule is the only one; order 1 is the midpoint rule
+    assert cli.main(["compute", "--family", "parallel", "--kind", "gauss"]) == 2
+    capsys.readouterr()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"family": "parallel", "kind": "gauss"}))
+    assert cli.main(["compute", "--config", str(config)]) == 2
+    assert "unknown keys: kind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

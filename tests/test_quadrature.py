@@ -11,10 +11,15 @@ def test_parameter_validation():
         QuadratureScheme(order=0)
     with pytest.raises(ValueError):
         QuadratureScheme(subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureScheme(kind="simpson")
-    with pytest.raises(ValueError):
-        QuadratureScheme(order=3, kind="midpoint")
+    # sizes must be integers: a float or a bool is refused at construction
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError):
+            QuadratureScheme(order=bad)
+        with pytest.raises(ValueError):
+            QuadratureScheme(subdivisions=bad)
+    quad = QuadratureScheme(order=np.int64(3), subdivisions=np.int32(2))
+    nodes, weights = quad.axis_rule(0.0, 1.0)
+    assert nodes.shape == weights.shape == (6,)
 
 
 def test_weights_positive_and_sum_to_length():
@@ -47,7 +52,8 @@ def test_gauss_not_exact_past_design_degree():
 
 
 def test_midpoint_rule():
-    quad = QuadratureScheme(order=1, subdivisions=4, kind="midpoint")
+    # order 1 is the composite midpoint rule
+    quad = QuadratureScheme(order=1, subdivisions=4)
     nodes, weights = quad.axis_rule(0.0, 1.0)
     np.testing.assert_allclose(nodes, [0.125, 0.375, 0.625, 0.875])
     np.testing.assert_allclose(weights, 0.25)
@@ -67,8 +73,8 @@ def test_box_rule_tensor_structure():
 
 def test_box_rule_convergence_of_midpoint():
     box = BoxDomain([0.0], [1.0])
-    coarse = QuadratureScheme(order=1, subdivisions=8, kind="midpoint")
-    fine = QuadratureScheme(order=1, subdivisions=64, kind="midpoint")
+    coarse = QuadratureScheme(order=1, subdivisions=8)
+    fine = QuadratureScheme(order=1, subdivisions=64)
 
     def err(quad):
         nodes, weights = quad.box_rule(box)
