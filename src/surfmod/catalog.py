@@ -322,8 +322,8 @@ def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_b
     p = float(p)
     q = conjugate_exponent(p)
     scale = float(scale)
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (scale > 0.0 and np.isfinite(scale)):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     u = _box(param_box)
     v = _box(surface_box)
     if u.dim != 1 or v.dim != 1:

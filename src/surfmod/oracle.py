@@ -18,6 +18,17 @@ rescaling.  The two routes share the family and the node-field kernel
 checked in ``tests/test_kernel.py`` against ``np.linalg.det`` and a sum
 over minors), but not l(x), the quadrature or the closed form, so their
 agreement is evidence that the reduction is implemented correctly.
+
+The cell volumes are pushforward volumes: the sum of |det J| times the
+parameter measure over the very samples that deposit the weights, so
+volumes and weights are two views of one measure.  On an affine family
+the area factor over |det J| is constant, the uniform multiplier is then
+dual-optimal, and every rung is exact to rounding at any resolution;
+curved families converge from above as the grid refines.  The volumes
+count multiplicity, so a map that covers a region twice gets twice its
+volume there, and the oracle agrees with the reduction's value for a
+non-injective family instead of witnessing against it.  Injectivity
+needs a separate guard.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleSurface, NoConvergence
+from .errors import DegenerateJacobian, InfeasibleSurface, NoConvergence
 from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
@@ -247,7 +258,17 @@ def discretize_family(
     are clipped onto its edge cells), and a surface's weight in a cell
     is the sum of its samples' deposits there, in sample order.  Bins
     whose sum is zero, such as those holding only zero-area samples,
-    are dropped.
+    are dropped.  A cell's volume is the sum over the same samples of
+    |det J| times their parameter measure (parameter cell volume times
+    surface cell volume).  Cells left without volume, which no sample
+    reaches or which samples reach only where |det J| = 0, are dropped
+    and the rest renumbered in row-major order, with ``centers`` in step.
+
+    Raises
+    ------
+    DegenerateJacobian
+        If a cell holds surface weight but |det J| vanishes at every
+        sample in it, so that its volume is zero.
     """
     conjugate_exponent(p)
     if cells_per_axis < 1 or surfaces_count < 1 or samples_per_surface < 1:
@@ -271,26 +292,20 @@ def discretize_family(
     box_hi = box_hi + padding * span
 
     cell_widths = (box_hi - box_lo) / cells_per_axis
-    cell_volume = float(np.prod(cell_widths))
-    axes = [
-        box_lo[i] + cell_widths[i] * (np.arange(cells_per_axis) + 0.5)
-        for i in range(fam.n)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in mesh], axis=-1)
-    volumes = np.full(centers.shape[0], cell_volume)
+    n_cells = cells_per_axis**fam.n
 
     x_values = fam.param_box.grid(surfaces_count)
     y_base = fam.surface_box.grid(samples_per_surface)
     sample_volume = fam.surface_box.volume / y_base.shape[0]
+    sample_measure = sample_volume * fam.param_box.volume / len(x_values)
     y_cell = fam.surface_box.widths / samples_per_surface
 
     # Surfaces go through the kernel in blocks of about _SAMPLE_BLOCK
     # samples; successive jitter draws reproduce the per-surface stream.
     per_surface = y_base.shape[0]
     block = max(1, _SAMPLE_BLOCK // per_surface)
-    n_cells = centers.shape[0]
-    surfaces = []
+    volumes = np.zeros(n_cells)
+    cells, weights, counts = [], [], []
     for start in range(0, len(x_values), block):
         x_block = x_values[start : start + block]
         y_points = np.broadcast_to(y_base, (len(x_block),) + y_base.shape)
@@ -298,26 +313,46 @@ def discretize_family(
             y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
         x_points = np.repeat(x_block, per_surface, axis=0)
         fields = node_fields(fam, x_points, y_points.reshape(-1, fam.m), images=True)
-        areas, images = fields.areas, fields.images
-        # Row-major (surface, cell) key, one image column at a time.
-        keys = np.repeat(np.arange(len(x_block)) * n_cells, per_surface)
+        # Row-major cell of each sample, one image column at a time.
+        cell = np.zeros(len(x_points), dtype=np.intp)
         for axis in range(fam.n):
-            column = ((images[:, axis] - box_lo[axis]) / cell_widths[axis]).astype(np.intp)
+            column = ((fields.images[:, axis] - box_lo[axis]) / cell_widths[axis]).astype(np.intp)
             np.clip(column, 0, cells_per_axis - 1, out=column)
-            keys += column * cells_per_axis ** (fam.n - 1 - axis)
-        # bincount sums each bin in sample order; bins holding only
-        # zero-area samples sum to 0.0 and are dropped.
+            cell += column * cells_per_axis ** (fam.n - 1 - axis)
+        volumes += np.bincount(cell, weights=fields.dets * sample_measure, minlength=n_cells)
+        # bincount sums each (surface, cell) bin in sample order; bins
+        # holding only zero-area samples sum to 0.0 and are dropped.
+        keys = np.repeat(np.arange(len(x_block)) * n_cells, per_surface) + cell
         keys, inverse = np.unique(keys, return_inverse=True)
-        weights = np.bincount(inverse, weights=areas * sample_volume)
-        keys, weights = keys[weights != 0.0], weights[weights != 0.0]
-        cells = keys % n_cells
-        bounds = np.searchsorted(keys // n_cells, np.arange(len(x_block) + 1)).tolist()
-        surfaces.extend(
-            (cells[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        block_weights = np.bincount(inverse, weights=fields.areas * sample_volume)
+        nonzero = block_weights != 0.0
+        keys = keys[nonzero]
+        cells.append(keys % n_cells)
+        weights.append(block_weights[nonzero])
+        counts.append(np.bincount(keys // n_cells, minlength=len(x_block)))
+
+    # Only the cells that the samples give volume stay, renumbered in order.
+    kept = np.flatnonzero(volumes > 0.0)
+    renumber = np.full(n_cells, -1, dtype=np.intp)
+    renumber[kept] = np.arange(kept.size)
+    cells = np.concatenate(cells)
+    weights = np.concatenate(weights)
+    remapped = renumber[cells]
+    if np.any(remapped < 0):
+        cell = int(cells[np.argmax(remapped < 0)])
+        raise DegenerateJacobian(
+            f"cell {cell} holds surface weight but |det J| vanishes at every sample "
+            f"in it, so its pushforward volume is zero"
         )
+    grid_index = np.stack(np.unravel_index(kept, (cells_per_axis,) * fam.n), axis=-1)
+    centers = box_lo + cell_widths * (grid_index + 0.5)
+    bounds = np.cumsum(np.concatenate([[0]] + counts)).tolist()
+    surfaces = tuple(
+        (remapped[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+    )
 
     return DiscreteModulusProblem(
-        p=float(p), centers=centers, volumes=volumes, surfaces=tuple(surfaces)
+        p=float(p), centers=centers, volumes=volumes[kept], surfaces=surfaces
     )
 
 
@@ -378,12 +413,14 @@ def solve_discrete(
     smooth and concave: the cellwise inner minimization has the closed
     form density_c = (load_c / (p volume_c))^(1/(p-1)), with load = A^T lam
     the multiplier-combined surface weight, and the dual's Hessian is
-    -A diag(density / ((p-1) load)) A^T, as sparse as A A^T.  It is
-    maximized by projected Newton steps (Bertsekas 1982): surfaces at or
-    near the bound and pushed into it move by a diagonally scaled
-    gradient step, the others by a Newton step damped in the
-    Levenberg-Marquardt way, and an Armijo search runs along the
-    projection arc max(0, lam + alpha d).  The resulting density is
+    -A diag(density / ((p-1) load)) A^T, as sparse as A A^T; its pattern
+    is built at the first Newton step, so a program that the rescaled
+    all-ones start already certifies, such as an affine family's, never
+    builds it.  The dual is maximized by projected Newton steps
+    (Bertsekas 1982): surfaces at or near the bound and pushed into it
+    move by a diagonally scaled gradient step, the others by a Newton
+    step damped in the Levenberg-Marquardt way, and an Armijo search runs
+    along the projection arc max(0, lam + alpha d).  The resulting density is
     rescaled by the smallest constraint margin to restore feasibility.
     The iteration returns as soon as the relative gap between that
     rescaled density's objective and the dual value is at most ``tol``,
@@ -391,8 +428,10 @@ def solve_discrete(
     tighter: it may differ from a longer run's by up to ``tol``.  The
     rescale step amplifies the iteration's stationarity defect on
     problems with many redundant constraints, which the default ``tol``
-    leaves headroom for.  A program without surfaces constrains nothing:
-    it returns the zero density, with zero objective, bound and steps.
+    leaves headroom for.  Weights and volumes are scaled by powers of two
+    for the solve, so its steps do not depend on their units.  A program
+    without surfaces constrains nothing: it returns the zero density, with
+    zero objective, bound and steps.
 
     Raises
     ------
@@ -403,7 +442,7 @@ def solve_discrete(
         exceeds ``tol`` after ``max_iters`` iterations, or no step
         along the projection arc makes progress.
     """
-    from scipy.sparse import csc_matrix
+    from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
 
     p = problem.p
@@ -422,9 +461,17 @@ def solve_discrete(
         raise InfeasibleSurface(
             f"surface {empty[0]} has zero total weight; its constraint cannot be met"
         )
+    # Weights and volumes enter divided by 2^weight_exp and 2^volume_exp,
+    # the powers of two at their largest entries, so the all-ones start is
+    # well scaled in any units; the density then scales back by
+    # 2^-weight_exp and the energy by 2^(volume_exp - p weight_exp).
+    weight_exp = int(np.frexp(a.data.max())[1])
+    volume_exp = int(np.frexp(problem.volumes.max())[1])
+    a = csr_matrix((np.ldexp(a.data, -weight_exp), a.indices, a.indptr), shape=a.shape)
+    volumes = np.ldexp(problem.volumes, -volume_exp)
+    energy_scale = float(np.exp2(volume_exp - p * weight_exp))
     a_t = a.T  # built once: each a.T makes a new sparse wrapper
-    hessian = _DualHessian(a)
-    volumes = problem.volumes
+    hessian = None  # built by the first Newton step; a certified rescale needs none
     exponent = 1.0 / (p - 1.0)
     shape = (problem.surface_count,) * 2
 
@@ -470,11 +517,11 @@ def solve_discrete(
             violation = float(max(0.0, 1.0 - (a @ (density / smallest)).min()))
             if violation <= tol:
                 return DiscreteSolution(
-                    density=density / smallest,
-                    objective=objective,
+                    density=np.ldexp(density / smallest, -weight_exp),
+                    objective=objective * energy_scale,
                     max_constraint_violation=violation,
                     iterations=step,
-                    lower_bound=lower,
+                    lower_bound=lower * energy_scale,
                 )
         if step == max_iters:
             break
@@ -489,6 +536,8 @@ def solve_discrete(
         curvature = np.divide(
             density, (p - 1.0) * load, out=np.zeros_like(load), where=load > 0.0
         )
+        if hessian is None:
+            hessian = _DualHessian(a)
         values = hessian.fill(curvature)
         # Marquardt damping, relative to each diagonal entry and fading
         # with the projected gradient; the floor keeps a surface whose

@@ -250,6 +250,9 @@ def test_criterion_09_discrete_oracle():
     started = time.perf_counter()
     ladder = (32, 64, 128)
     finals = {}
+    # Pushforward volumes make the affine rungs exact (measured <= 2e-15);
+    # annulus-radial converges from above, 4.48e-5 at 128 cells.
+    bands = {"parallel": 1e-6, "annulus-radial": 5e-5, "shear": 1e-6}
     cases = (
         ("parallel", make_parallel([(0.0, 1.0)], [(0.0, 1.0)])),
         ("annulus-radial", make_polar_annulus(1.0, 2.0, mode="radial")),
@@ -279,13 +282,13 @@ def test_criterion_09_discrete_oracle():
         expected = full * factor**-problem.p
         worst_scaling = max(worst_scaling, abs(scaled - expected) / expected)
     elapsed = time.perf_counter() - started
-    worst_gap = max(finals.values())
     verdict(
         "criterion-09 discrete oracle agreement",
-        worst_gap <= 0.05 and worst_monotone <= 1e-7 and worst_scaling <= 1e-6
-        and elapsed < 120.0,
-        f"final ladder gaps {', '.join(f'{k} {v:.2%}' for k, v in finals.items())} "
-        f"(band 5%), surface-removal slack {worst_monotone:.2e}, "
+        all(finals[name] <= band for name, band in bands.items())
+        and worst_monotone <= 1e-7 and worst_scaling <= 1e-6 and elapsed < 120.0,
+        "final ladder gaps "
+        + ", ".join(f"{k} {v:.2e} (band {bands[k]:.0e})" for k, v in finals.items())
+        + f", surface-removal slack {worst_monotone:.2e}, "
         f"weight-scaling defect {worst_scaling:.2e} (tol 1e-6) in {elapsed:.0f}s (limit 120s)",
     )
 

@@ -242,6 +242,12 @@ def test_catalog_validation_errors():
         make_pq_map(2.0, param_box=[(0.0, 1.0), (0.0, 1.0)])
 
 
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0, -1.0])
+def test_pq_map_rejects_non_finite_or_nonpositive_scale(scale):
+    with pytest.raises(ValueError, match="finite and positive"):
+        make_pq_map(2.0, scale=scale)
+
+
 def test_build_entry_registry():
     assert available_families() == (
         "parallel",

@@ -95,6 +95,20 @@ def test_zero_or_non_finite_condenser_entry_is_config_error(capsys, command, fla
     assert "finite and nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_pq_map_scale_is_config_error(capsys, value):
+    assert cli.main(["compute", "--family", "pq-map", "--scale", value]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_cross_validate_on_a_tiny_box(capsys):
+    # cell volumes near 1e-302 once overflowed the solver's certificate
+    code = cli.main(["cross-validate", "--family", "parallel", "--u", "0,1e-300", "--ladder", "4"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "discrete modulus 1e-300 " in out and "PASS final gap" in out
+
+
 def test_json_round_trip_is_byte_identical(tmp_path):
     _, out = run_compute(tmp_path)
     text = out.read_text()

@@ -8,6 +8,7 @@ import pytest
 from surfmod import (
     BoxDomain,
     CrossValidationRow,
+    DegenerateJacobian,
     DiscreteModulusProblem,
     InfeasibleSurface,
     NoConvergence,
@@ -20,6 +21,7 @@ from surfmod import (
     make_shear,
     solve_discrete,
 )
+from surfmod import oracle
 from surfmod.linalg import stacked_norm
 
 
@@ -237,7 +239,9 @@ def test_duality_gap_certificate():
 
 
 def test_solver_stops_at_the_certified_gap():
-    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]]).family
+    # a curved family: affine rungs certify at the first rescale, this
+    # one needs Newton steps
+    fam = make_polar_annulus(1.0, 2.0, mode="circular").family
     problem = discretize_family(fam, 2.0, 6, 18, 24)
     loose = solve_discrete(problem, tol=1e-6)
     tight = solve_discrete(problem, tol=1e-10)
@@ -317,34 +321,41 @@ def test_union_subadditivity():
 
 
 def test_weight_scaling_law():
-    # scaling all weights by c scales the optimum by c^(-p)
+    # scaling all weights by c scales the optimum by c^(-p), however far
+    # c is from one
     rng = np.random.default_rng(17)
     for p in (1.5, 2.0, 3.0):
         problem = random_problem(rng, p=p)
-        scaled = DiscreteModulusProblem(
-            p=p,
-            centers=problem.centers,
-            volumes=problem.volumes,
-            surfaces=tuple((idx, 2.0 * w) for idx, w in problem.surfaces),
-        )
         base = solve_discrete(problem).objective
-        assert solve_discrete(scaled).objective == pytest.approx(
-            base * 2.0**-p, rel=1e-6
-        )
+        for factor in (2.0, 1e-50, 1e100):
+            scaled = DiscreteModulusProblem(
+                p=p,
+                centers=problem.centers,
+                volumes=problem.volumes,
+                surfaces=tuple((idx, factor * w) for idx, w in problem.surfaces),
+            )
+            assert solve_discrete(scaled).objective == pytest.approx(
+                base * factor**-p, rel=1e-6
+            )
 
 
 def test_volume_scaling_law():
+    # volumes of 1e-300 overflowed the densities, or the first
+    # certificate, while the solve ran in the given units
     rng = np.random.default_rng(19)
-    problem = random_problem(rng)
-    scaled = DiscreteModulusProblem(
-        p=problem.p,
-        centers=problem.centers,
-        volumes=3.0 * problem.volumes,
-        surfaces=problem.surfaces,
-    )
-    assert solve_discrete(scaled, tol=1e-8).objective == pytest.approx(
-        3.0 * solve_discrete(problem, tol=1e-8).objective, rel=1e-7
-    )
+    for p in (1.5, 2.0, 3.0):
+        problem = random_problem(rng, p=p)
+        base = solve_discrete(problem, tol=1e-8).objective
+        for factor in (3.0, 1e-300, 1e250):
+            scaled = DiscreteModulusProblem(
+                p=p,
+                centers=problem.centers,
+                volumes=factor * problem.volumes,
+                surfaces=problem.surfaces,
+            )
+            assert solve_discrete(scaled, tol=1e-8).objective == pytest.approx(
+                factor * base, rel=1e-7
+            )
 
 
 def test_cell_permutation_invariance():
@@ -476,6 +487,72 @@ def test_discretize_validates_counts():
         discretize_family(fam, 2.0, 4, 3, 0)
 
 
+_UNIT_BOX = [(0.0, 1.0)]
+AFFINE_ENTRIES = {
+    "parallel (2,1)": lambda: make_parallel(_UNIT_BOX * 2, _UNIT_BOX),
+    "parallel (1,2)": lambda: make_parallel(_UNIT_BOX, _UNIT_BOX * 2),
+    "shear (2,1)": lambda: make_shear(_UNIT_BOX * 2, _UNIT_BOX, [[0.5], [0.5]]),
+    "shear (1,2)": lambda: make_shear(_UNIT_BOX, _UNIT_BOX * 2, [[0.5, 0.5]]),
+    "shear (2,2)": lambda: make_shear(
+        _UNIT_BOX * 2, _UNIT_BOX * 2, [[0.3, 0.1], [-0.2, 0.5]]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, cells",
+    [(name, cells) for name in list(AFFINE_ENTRIES)[:4] for cells in (8, 16)]
+    + [("shear (2,2)", 6)],
+)
+def test_affine_rungs_are_exact_and_certify_at_the_rescale(monkeypatch, name, cells):
+    # Pushforward volumes and the surface weights come from one measure and
+    # the area factor over |det J| is constant, so the uniform multiplier
+    # is dual-optimal: the first ray rescale certifies, with no Newton step
+    # and no dual Hessian.
+    def unbuilt(a):
+        raise AssertionError("the dual Hessian was built")
+
+    monkeypatch.setattr(oracle, "_DualHessian", unbuilt)
+    entry = AFFINE_ENTRIES[name]()
+    p = 3.0
+    problem = discretize_family(
+        entry.family, p, cells, 3 * cells, 4 * cells, rng=np.random.default_rng(1)
+    )
+    solution = solve_discrete(problem, tol=1e-9)
+    assert solution.iterations == 1
+    assert solution.objective == pytest.approx(entry.expected_modulus(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("mode", ["radial", "circular"])
+def test_curved_rungs_within_one_percent(mode, p):
+    entry = make_polar_annulus(1.0, 2.0, mode=mode)
+    rows = cross_validate(
+        entry.family, p, entry.expected_modulus(p), [16, 32], rng=np.random.default_rng(1)
+    )
+    assert rows[1].relative_gap < rows[0].relative_gap
+    assert rows[1].relative_gap <= 0.01
+
+
+def test_weight_in_a_cell_without_volume_raises():
+    # (x, y) -> (x y, y): |det J| = |y| vanishes on y = 0, where the area
+    # factor |(x, 1)| does not.  With three samples per surface those at
+    # y = 0 land alone in the middle cell, row-major index 4.
+    fam = ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([-1.0], [1.0]),
+        map=lambda x, y: np.concatenate([x * y, y], axis=-1),
+        jacobian=lambda x, y: np.stack(
+            [np.concatenate([y, x], -1), np.concatenate([np.zeros_like(y), np.ones_like(y)], -1)],
+            -2,
+        ),
+    )
+    with pytest.raises(DegenerateJacobian, match="cell 4 holds surface weight"):
+        discretize_family(fam, 2.0, 3, 3, 3)
+
+
 def test_flat_family_converges_within_band():
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     problem = discretize_family(
@@ -573,12 +650,16 @@ def _recorded(fam):
 
 
 def _reference_binning(fam, images, jacobians, cells, samples, padding):
-    """CSR arrays from the recorded kernel values, binned one sample at a time.
+    """The problem's arrays from the recorded kernel values, binned one sample at a time.
 
     The first map call is the bounding-box probe; the rest are the
-    samples, surface by surface.  Returns the arrays and a count of the
-    clipped samples (cell coordinates outside the grid), the zero-area
-    samples and the bins holding only those.
+    samples, surface by surface.  Each sample adds its area factor to its
+    (surface, cell) bin and ``np.linalg.det`` of its Jacobian, times its
+    parameter measure, to its cell's volume; cells left without volume
+    are dropped and the rest renumbered in order.  Returns the CSR arrays,
+    the volumes, the centers and a count of the clipped samples (cell
+    coordinates outside the grid), the zero-area samples, the bins
+    holding only those, and the cells that samples reach but give no volume.
     """
     probe = images[0]
     lo, hi = probe.min(axis=0), probe.max(axis=0)
@@ -586,29 +667,36 @@ def _reference_binning(fam, images, jacobians, cells, samples, padding):
     lo, hi = lo - padding * span, hi + padding * span
     widths = (hi - lo) / cells
     points = np.concatenate(images[1:])
-    areas = stacked_norm(np.concatenate(jacobians)[:, :, fam.n - fam.m :])
+    stack = np.concatenate(jacobians)
+    areas = stacked_norm(stack[:, :, fam.n - fam.m :])
     per_surface = samples**fam.m
     sample_volume = fam.surface_box.volume / per_surface
-    bins, clipped = {}, 0
-    for i, (point, area) in enumerate(zip(points, areas)):
+    measure = sample_volume * fam.param_box.volume / (len(points) // per_surface)
+    bins, volumes, clipped = {}, {}, 0
+    for i, (point, jacobian, area) in enumerate(zip(points, stack, areas)):
         raw = ((point - lo) / widths).astype(int)
         clipped += int(np.any((raw < 0) | (raw >= cells)))
-        cell = np.ravel_multi_index(tuple(np.clip(raw, 0, cells - 1)), (cells,) * fam.n)
-        key = (i // per_surface, int(cell))
+        cell = int(np.ravel_multi_index(tuple(np.clip(raw, 0, cells - 1)), (cells,) * fam.n))
+        key = (i // per_surface, cell)
         bins[key] = bins.get(key, 0.0) + float(area) * sample_volume
+        volumes[cell] = volumes.get(cell, 0.0) + abs(float(np.linalg.det(jacobian))) * measure
+    kept = sorted(cell for cell, volume in volumes.items() if volume != 0.0)
+    renumber = {cell: i for i, cell in enumerate(kept)}
     rows = [[] for _ in range(len(points) // per_surface)]
     for (surface, cell), weight in sorted(bins.items()):
         if weight != 0.0:
-            rows[surface].append((cell, weight))
+            rows[surface].append((renumber[cell], weight))
     data = np.array([w for row in rows for _, w in row])
     indices = np.array([c for row in rows for c, _ in row])
     indptr = np.cumsum([0] + [len(row) for row in rows])
+    centers = lo + widths * (np.array(np.unravel_index(kept, (cells,) * fam.n)).T + 0.5)
     counts = {
         "clipped": clipped,
         "zero areas": int(np.sum(areas == 0.0)),
         "zero bins": sum(w == 0.0 for w in bins.values()),
+        "zero volumes": len(volumes) - len(kept),
     }
-    return (data, indices, indptr), counts
+    return (data, indices, indptr), np.array([volumes[c] for c in kept]), centers, counts
 
 
 _UNIT = [(0.0, 1.0)]
@@ -627,7 +715,9 @@ BINNING_CASES = {
     ),
     # y = 0 is a node: its sample shares a cell, or has one to itself
     "zero areas": (_cubed_family, 6, 7, 15, 0.02, ("zero areas",)),
-    "zero-only bins": (_cubed_family, 16, 5, 3, 0.02, ("zero areas", "zero bins")),
+    "zero-only bins": (
+        _cubed_family, 16, 5, 3, 0.02, ("zero areas", "zero bins", "zero volumes")
+    ),
     "arch n=2, no padding": (lambda: _arch_family(2), 8, 6, 20, 0.0, ("clipped",)),
     "arch n=3, no padding": (lambda: _arch_family(3), 4, 5, 20, 0.0, ("clipped",)),
 }
@@ -640,8 +730,13 @@ def test_discretize_matches_an_independent_binning(case, jitter):
     fam, images, jacobians = _recorded(build())
     rng = None if jitter is None else np.random.default_rng(jitter)
     problem = discretize_family(fam, 2.0, cells, surfaces, samples, padding=padding, rng=rng)
-    want, counts = _reference_binning(fam, images, jacobians, cells, samples, padding)
+    want, volumes, centers, counts = _reference_binning(
+        fam, images, jacobians, cells, samples, padding
+    )
     for got, expected in zip(problem._csr, want):
         np.testing.assert_array_equal(got, expected)
+    # the kernel's closed-form det and its per-block sums move the last bits
+    np.testing.assert_allclose(problem.volumes, volumes, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(problem.centers, centers, rtol=1e-12, atol=0.0)
     if jitter is None:
         assert all(counts[name] > 0 for name in reached), counts
