@@ -12,6 +12,7 @@ together with the generalized norm of the y-block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -41,6 +42,15 @@ _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 # Nodes per batch in node_fields; bounds the stacked Jacobians' memory.
 _CHUNK = 1 << 16
+
+
+def _count(value, name: str) -> int:
+    """``value`` as a positive int; a bool or a non-integral value raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +90,7 @@ class BoxDomain:
         With ``inset`` > 0 the grid is built on the box shrunk by that
         fraction of its width on every side.
         """
+        per_axis = _count(per_axis, "per_axis")
         lo = self.lower + inset * self.widths
         hi = self.upper - inset * self.widths
         axes = [

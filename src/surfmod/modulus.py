@@ -33,6 +33,7 @@ from .family import (
     ParametrizedFamily,
     Submersion,
     _check_pair,
+    _point,
     _probe_key_relation,
     _stacked_map,
     _tensor_pairs,
@@ -117,6 +118,11 @@ def _raise_first(bad, error, message):
 def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
     """Surface weights l(x) at every row of ``x_nodes``, with the grid fields behind them."""
     fields = _grid_fields(fam, x_nodes, y_nodes, floor=floor)
+    return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
+
+
+def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
+    """Surface weights l(x) from the fields of the grid of ``x_nodes`` and ``y_nodes``."""
     with np.errstate(over="ignore"):
         values = (fields.areas / fields.dets) ** q * fields.dets
     _raise_first(
@@ -124,7 +130,7 @@ def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
         NonFiniteIntegrand,
         lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
     )
-    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)"), fields
+    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)")
 
 
 def _check_weights(l_vals, x_nodes, label):
@@ -250,34 +256,44 @@ class ExtremalDensity:
 
     # -- surface weight ------------------------------------------------
 
-    def _l_values(self, x_nodes):
-        """Surface weights at the rows of ``x_nodes``, in one kernel call."""
-        nodes, weights = self._inner_nodes, self._inner_weights
-        return _surface_weights(self.family, self.q, x_nodes, nodes, weights, self._floor)[0]
-
     def l_value(self, x) -> float:
         """Surface weight l(x) of the surface through parameter x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return float(self._l_values(x[None])[0])
+        fam = self.family
+        x = _point(x, fam.n - fam.m, "x")
+        nodes, weights = self._inner_nodes, self._inner_weights
+        return float(_surface_weights(fam, self.q, x[None], nodes, weights, self._floor)[0][0])
 
     # -- evaluation ----------------------------------------------------
 
     def evaluate_param(self, x, y) -> float:
         """Density value at the surface point with parameter coordinates (x, y)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        fam = self.family
+        x = _point(x, fam.n - fam.m, "x")
+        y = _point(y, fam.m, "y")
         return float(self._evaluate_grid(x[None], y[None])[0][0, 0])
 
     def _evaluate_grid(self, x_nodes, y_nodes):
         """Density on the tensor grid of ``x_nodes`` and ``y_nodes``, as a
-        (len(x_nodes), len(y_nodes)) array, with the grid fields behind it."""
-        fields = _grid_fields(self.family, x_nodes, y_nodes, floor=self._floor)
-        values = _density(fields, self.q, self._l_values(x_nodes), x_nodes, y_nodes)
-        return values, fields
+        (len(x_nodes), len(y_nodes)) array, with the grid fields behind it.
+
+        One kernel call covers ``x_nodes`` times ``y_nodes`` followed by
+        the inner rule, whose columns give l(x); when ``y_nodes`` is the
+        inner rule itself, its grid serves both.
+        """
+        fam, nodes, weights = self.family, self._inner_nodes, self._inner_weights
+        if np.array_equal(y_nodes, nodes):
+            fields = inner = _grid_fields(fam, x_nodes, nodes, floor=self._floor)
+        else:
+            grid = _grid_fields(fam, x_nodes, np.concatenate([y_nodes, nodes]), floor=self._floor)
+            count = len(y_nodes)
+            fields = NodeFields(grid.dets[:, :count], grid.areas[:, :count])
+            inner = NodeFields(grid.dets[:, count:], grid.areas[:, count:])
+        l_vals = _weights_from_fields(inner, self.q, x_nodes, nodes, weights)
+        return _density(fields, self.q, l_vals, x_nodes, y_nodes), fields
 
     def evaluate_ambient(self, z) -> float:
         """Density value at an ambient point of the swept region."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+        z = _point(z, self.family.n, "z")
         if self.inverse is not None:
             x, y = self.inverse(z)
         else:

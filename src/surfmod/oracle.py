@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJacobian, InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, _stacked_map, _tensor_pairs, node_fields
+from .family import ParametrizedFamily, _count, _stacked_map, _tensor_pairs, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
@@ -251,7 +251,12 @@ def discretize_family(
     surface axis; each sample deposits its local surface measure (area
     factor times parameter cell volume) into the ambient cell that
     contains it.  With ``rng`` given, samples are jittered uniformly
-    within their parameter cells; otherwise cell midpoints are used.
+    within their parameter cells; otherwise cell midpoints are used,
+    which converge about three times more slowly on curved families
+    (annulus-circular (1, 2) at 32 cells: +0.91% at p = 2 and +1.9% at
+    p = 3, against +0.22% and +0.65% jittered).  The three counts must
+    be integers of at least 1; a bool or a non-integral value raises
+    ValueError.
 
     Each sample gets one key, its surface index times the cell count
     plus the row-major index of its cell (coordinates outside the grid
@@ -271,8 +276,9 @@ def discretize_family(
         sample in it, so that its volume is zero.
     """
     conjugate_exponent(p)
-    if cells_per_axis < 1 or surfaces_count < 1 or samples_per_surface < 1:
-        raise ValueError("cells, surfaces, and samples counts must all be >= 1")
+    cells_per_axis = _count(cells_per_axis, "cells_per_axis")
+    surfaces_count = _count(surfaces_count, "surfaces_count")
+    samples_per_surface = _count(samples_per_surface, "samples_per_surface")
 
     # Padded bounding box of the image, from an endpoint-touching probe grid.
     probe_per_axis = 33 if fam.n <= 2 else (17 if fam.n == 3 else 9)
@@ -605,15 +611,19 @@ def cross_validate(
     resolution the surface count defaults to 3x and the per-surface
     sample count to 4x the cells per axis, keeping neighboring surfaces
     closer than a cell so the sampled family constrains every corridor
-    of the grid.  Returns one CrossValidationRow per rung; gaps are
-    reported, not enforced.
+    of the grid.  Rungs and counts must be integers of at least 1, as
+    for :func:`discretize_family`, and every rung is checked before the
+    first solve.  With ``rng=None`` every rung samples cell midpoints,
+    which converge about three times more slowly than jittered samples
+    on curved families; pass a generator for jittered ladders.  Returns
+    one CrossValidationRow per rung; gaps are reported, not enforced.
     """
     expected = float(analytic)
     if not expected > 0.0:
         raise ValueError("the analytic modulus must be positive")
+    ladder = [_count(resolution, "grid resolution") for resolution in grid_ladder]
     rows = []
-    for resolution in grid_ladder:
-        resolution = int(resolution)
+    for resolution in ladder:
         surfaces = 3 * resolution if surfaces_count is None else surfaces_count
         samples = 4 * resolution if samples_per_surface is None else samples_per_surface
         problem = discretize_family(fam, p, resolution, surfaces, samples, rng=rng)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .family import BoxDomain
+from .family import BoxDomain, _count
 
 __all__ = ["QuadratureScheme"]
 
@@ -36,11 +35,7 @@ class QuadratureScheme:
 
     def __post_init__(self):
         for name in ("order", "subdivisions"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            _count(getattr(self, name), name)
 
     def axis_rule(self, lower: float, upper: float):
         """Composite 1-d rule on (lower, upper): returns (nodes, weights)."""

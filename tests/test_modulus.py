@@ -20,6 +20,7 @@ from surfmod import (
     QuadratureScheme,
     Submersion,
     admissibility_check,
+    build_entry,
     coarea_check,
     conjugate_exponent,
     evaluate_map,
@@ -30,6 +31,7 @@ from surfmod import (
     make_polar_annulus,
     make_shear,
     modulus_p,
+    node_fields,
     submersion_modulus,
 )
 
@@ -235,6 +237,98 @@ def test_extremal_density_keeps_no_per_query_state():
         density.evaluate_ambient(z)
     assert footprint() == after_one
     assert density.evaluate_ambient(points[0]) == first
+
+
+def _density_families():
+    radial = make_polar_annulus(1.0, 2.0, mode="radial").family
+    circular = make_polar_annulus(0.7, 1.9, mode="circular").family
+    return {
+        "radial": radial,
+        "radial fd": replace(radial, jacobian=None),
+        "circular": circular,
+        "circular fd": replace(circular, jacobian=None),
+        "shear": make_shear([(0.0, 1.0)], [(-0.5, 1.0)], [[0.7]]).family,
+        "shear (1,2)": make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.7, -0.3]]).family,
+        "condenser": build_entry("condenser", {"sx": 1.7, "sy": 0.6}).family,
+    }
+
+
+def two_call_reference(density, xs, ys):
+    """Density on the grid of ``xs`` and ``ys``, its area factors and l(xs),
+    from one node_fields call for l and one for the density, with the
+    density's arithmetic on arrays of the same shapes."""
+    fam, q = density.family, density.q
+    inner, weights = QUAD.box_rule(fam.surface_box)
+
+    def grid(nodes):
+        fields = node_fields(fam, np.repeat(xs, len(nodes), 0), np.tile(nodes, (len(xs), 1)))
+        return fields.dets.reshape(len(xs), -1), fields.areas.reshape(len(xs), -1)
+
+    dets, areas = grid(inner)
+    l_vals = ((areas / dets) ** q * dets) @ weights
+    dets, areas = grid(ys)
+    return (areas / dets) ** (q - 1.0) / l_vals[:, None], areas, l_vals
+
+
+@pytest.mark.parametrize("name", list(_density_families()))
+def test_density_matches_a_two_call_reference_bit_for_bit(name):
+    fam = _density_families()[name]
+    density = extremal_density(fam, 2.5, QUAD)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        x = fam.param_box.lower + rng.uniform(0.1, 0.9, fam.n - fam.m) * fam.param_box.widths
+        y = fam.surface_box.lower + rng.uniform(0.1, 0.9, fam.m) * fam.surface_box.widths
+        values, _, l_vals = two_call_reference(density, x[None], y[None])
+        assert density.evaluate_param(x, y) == values[0, 0]
+        assert density.l_value(x) == l_vals[0]
+        z = evaluate_map(fam, x, y)
+        x_found, y_found = density._invert(z)
+        values = two_call_reference(density, x_found[None], y_found[None])[0]
+        assert density.evaluate_ambient(z) == values[0, 0]
+    # admissibility with the density's own rule (one shared grid) and another
+    samples = fam.param_box.grid(3)
+    for quad in (QUAD, QuadratureScheme(order=3, subdivisions=2)):
+        nodes, weights = quad.box_rule(fam.surface_box)
+        values, areas, _ = two_call_reference(density, samples, nodes)
+        integrals = [value for _, value in admissibility_check(fam, density, quad, samples)]
+        assert integrals == list((values * areas) @ weights)
+
+
+def test_density_evaluations_call_the_jacobian_once():
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+    batches = []
+
+    def recording(x, y):
+        batches.append(len(x))
+        return fam.jacobian(x, y)
+
+    counted = replace(fam, jacobian=recording)
+    density = extremal_density(counted, 2.0, QUAD)
+    inner = len(QUAD.box_rule(fam.surface_box)[0])
+    batches.clear()
+    density.evaluate_param([0.5], [1.5])
+    assert batches == [1 + inner]
+    batches.clear()
+    admissibility_check(counted, density, QUAD, fam.param_box.grid(4))
+    assert batches == [4 * inner]
+
+
+def test_misshapen_points_raise_value_error():
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+
+    def inverse(z):
+        raise AssertionError(f"the inverse was called with {z}")
+
+    for density in (extremal_density(fam, 2.0, QUAD), extremal_density(fam, 2.0, QUAD, inverse)):
+        for z in ([1.5], [1.5, 0.0, 0.0], [[1.5, 0.0]]):
+            with pytest.raises(ValueError, match=r"z must have shape \(2,\)"):
+                density.evaluate_ambient(z)
+        with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
+            density.evaluate_param([0.5, 0.1], [1.5])
+        with pytest.raises(ValueError, match=r"y must have shape \(1,\)"):
+            density.evaluate_param([0.5], [1.5, 1.2])
+        with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
+            density.l_value([0.5, 0.2])
 
 
 def test_inversion_failure_outside_image():

@@ -487,6 +487,28 @@ def test_discretize_validates_counts():
         discretize_family(fam, 2.0, 4, 3, 0)
 
 
+def test_counts_must_be_integers():
+    # as QuadratureScheme's: bools and non-integral values are rejected, numpy integers kept
+    fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
+    for bad in (True, 2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="per_axis must be an integer"):
+            fam.param_box.grid(bad)
+        for position in range(3):
+            counts = [4, 3, 4]
+            counts[position] = bad
+            with pytest.raises(ValueError, match="must be an integer"):
+                discretize_family(fam, 2.0, *counts)
+        with pytest.raises(ValueError, match="grid resolution must be an integer"):
+            cross_validate(fam, 2.0, 1.0, [4, bad])
+        for override in ("surfaces_count", "samples_per_surface"):
+            with pytest.raises(ValueError, match=f"{override} must be an integer"):
+                cross_validate(fam, 2.0, 1.0, [4], **{override: bad})
+    np.testing.assert_array_equal(fam.param_box.grid(np.int64(3)), fam.param_box.grid(3))
+    counts = (np.int32(4), np.int64(3), np.int16(4))
+    assert discretize_family(fam, 2.0, *counts).to_text() == discretize_family(fam, 2.0, 4, 3, 4).to_text()
+    assert cross_validate(fam, 2.0, 1.0, [np.int64(4)]) == cross_validate(fam, 2.0, 1.0, [4])
+
+
 _UNIT_BOX = [(0.0, 1.0)]
 AFFINE_ENTRIES = {
     "parallel (2,1)": lambda: make_parallel(_UNIT_BOX * 2, _UNIT_BOX),
