@@ -12,6 +12,7 @@ together with the generalized norm of the y-block.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -88,9 +89,13 @@ class BoxDomain:
         """Uniform grid of cell midpoints, ``per_axis`` points on each axis.
 
         With ``inset`` > 0 the grid is built on the box shrunk by that
-        fraction of its width on every side.
+        fraction of its width on every side.  ``inset`` must lie in
+        [0, 0.5), else ValueError: at 0.5 the box shrinks to its center,
+        and beyond it the grid runs backwards.
         """
         per_axis = _count(per_axis, "per_axis")
+        if not 0.0 <= inset < 0.5:
+            raise ValueError(f"inset must lie in [0, 0.5), got {inset!r}")
         lo = self.lower + inset * self.widths
         hi = self.upper - inset * self.widths
         axes = [
@@ -287,11 +292,11 @@ def jacobian_partial_y(fam: ParametrizedFamily, x, y) -> np.ndarray:
 
 
 class NodeFields(NamedTuple):
-    """Per-node quantities of a family, stacked over N nodes.
+    """Per-node quantities of a family, over the nodes' leading shape S.
 
     ``dets`` is |det J| and ``areas`` the generalized norm of the y-block
-    of J, both of shape (N,).  ``images`` (N, n) holds the map values and
-    ``gradients`` (N,) the generalized norm of a submersion's derivative
+    of J, both of shape S.  ``images`` (S, n) holds the map values and
+    ``gradients`` (S) the generalized norm of a submersion's derivative
     at each image; each is None unless requested.
     """
 
@@ -301,12 +306,11 @@ class NodeFields(NamedTuple):
     gradients: np.ndarray | None = None
 
 
-def _tensor_pairs(x_nodes, y_nodes):
-    """Every row of ``x_nodes`` paired with every row of ``y_nodes``, x-major."""
-    return (
-        np.repeat(x_nodes, len(y_nodes), axis=0),
-        np.tile(y_nodes, (len(x_nodes), 1)),
-    )
+def _pairs(x, y, shape):
+    """The nodes (x, y), broadcast to the leading ``shape``, as equally long arrays of rows."""
+    xs, ys = np.empty(shape + x.shape[-1:]), np.empty(shape + y.shape[-1:])
+    xs[...], ys[...] = x, y
+    return xs.reshape(-1, x.shape[-1]), ys.reshape(-1, y.shape[-1])
 
 
 def node_fields(
@@ -317,35 +321,59 @@ def node_fields(
     images: bool = False,
     submersion: "Submersion | None" = None,
 ) -> NodeFields:
-    """|det J| and the y-block area factor at the paired nodes (x[i], y[i]).
+    """|det J| and the y-block area factor at the nodes (x, y).
 
-    ``x`` has shape (N, n-m) and ``y`` shape (N, m); the family and the
-    submersion are called once per batch of at most ``_CHUNK`` nodes.
-    |det J| takes the closed form for n <= 3 and an LU factorization
-    otherwise; the area factor is a column norm when m = 1 and the
-    product of the diagonal of a stacked QR factor otherwise.
+    ``x`` (..., n-m) and ``y`` (..., m) broadcast over their leading axes:
+    equal shapes pair the nodes, and ``x[:, None]`` with ``y[None]`` is
+    the tensor grid.  Every field has the broadcast leading shape.  The
+    nodes go through in C order, in batches of at most ``_CHUNK``, so
+    besides the outputs only one batch of pairs and Jacobians is held;
+    the family and the submersion are called once per batch.  |det J|
+    takes the closed form for n <= 3 and an LU factorization otherwise;
+    the area factor is a column norm when m = 1 and the product of the
+    diagonal of a stacked QR factor otherwise.
 
     Every check of the per-point functions applies to the whole batch
-    and names the first offending node: misshapen or non-finite map and
-    Jacobian values raise EvaluationFailure, a |det J| that overflows
-    raises NonFiniteIntegrand, and with ``floor`` given a node whose
-    |det J| is at or below it raises DegenerateJacobian.  With
-    ``images`` the map values are returned too; with ``submersion`` they
-    are, along with the norm of the submersion's derivative at each.
+    and names the first offending node by its x and y: misshapen or
+    non-finite map and Jacobian values raise EvaluationFailure, a
+    |det J| that overflows raises NonFiniteIntegrand, and with ``floor``
+    given a node whose |det J| is at or below it raises
+    DegenerateJacobian.  With ``images`` the map values are returned too;
+    with ``submersion`` they are, along with the norm of the submersion's
+    derivative at each.
     """
     k = fam.n - fam.m
-    x = np.asarray(x, dtype=float).reshape(-1, k)
-    y = np.asarray(y, dtype=float).reshape(-1, fam.m)
-    if len(x) != len(y):
-        raise ValueError(f"got {len(x)} parameter nodes but {len(y)} surface nodes")
-    if len(x) > _CHUNK:
-        parts = [
-            node_fields(fam, x[i : i + _CHUNK], y[i : i + _CHUNK], floor, images, submersion)
-            for i in range(0, len(x), _CHUNK)
-        ]
-        return NodeFields(
-            *(None if col[0] is None else np.concatenate(col) for col in zip(*parts))
-        )
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.shape[-1:] != (k,) or y.shape[-1:] != (fam.m,):
+        raise ValueError(f"need x (..., {k}) and y (..., {fam.m}), got {x.shape} and {y.shape}")
+    shape = np.broadcast(x[..., 0], y[..., 0]).shape
+    count = math.prod(shape)
+    batch = lambda xs, ys: _paired_fields(fam, xs, ys, floor, images, submersion)
+    if count <= _CHUNK:
+        flat = batch(*_pairs(x, y, shape))
+    else:
+        # Each batch gathered from broadcast views and written into the outputs.
+        x, y = np.broadcast_to(x, shape + (k,)), np.broadcast_to(y, shape + (fam.m,))
+        flat = None
+        for start in range(0, count, _CHUNK):
+            index = np.unravel_index(np.arange(start, min(start + _CHUNK, count)), shape)
+            part = batch(x[index], y[index])
+            if flat is None:
+                flat = _each(lambda f: np.empty((count,) + f.shape[1:]), part)
+            for whole, values in zip(flat, part):
+                if values is not None:
+                    whole[start : start + len(values)] = values
+    return _each(lambda f: f.reshape(shape + f.shape[1:]), flat)
+
+
+def _each(fn, fields: NodeFields) -> NodeFields:
+    """``fn`` applied to every field that is not None."""
+    return NodeFields(*(None if f is None else fn(f) for f in fields))
+
+
+def _paired_fields(fam, x, y, floor, images, submersion) -> NodeFields:
+    """:func:`node_fields` on one batch of paired nodes (x[i], y[i])."""
+    k = fam.n - fam.m
     jac = _jacobian_columns(fam, x, y)
     dets = _stacked_abs_det(jac)
     if not np.isfinite(dets).all():
@@ -357,13 +385,10 @@ def node_fields(
             f"|det J| = {dets[i]:.3e} at x={x[i]}, y={y[i]} is below the degeneracy "
             f"floor {floor:.3e}"
         )
-    fields = NodeFields(dets, stacked_norm(jac[:, :, k:]))
-    if not (images or submersion is not None):
-        return fields
-    z = _stacked_map(fam, x, y)
-    if submersion is None:
-        return fields._replace(images=z)
-    return fields._replace(images=z, gradients=stacked_norm(_submersion_columns(submersion, z)))
+    areas = stacked_norm(jac[:, :, k:])
+    z = _stacked_map(fam, x, y) if images or submersion is not None else None
+    gradients = None if submersion is None else stacked_norm(_submersion_columns(submersion, z))
+    return NodeFields(dets, areas, z, gradients)
 
 
 def _submersion_columns(sub: Submersion, z) -> np.ndarray:
@@ -394,13 +419,14 @@ def _check_pair(fam: ParametrizedFamily, sub: Submersion):
 
 
 def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
-    """Residuals of :func:`key_relation_residual` at the paired nodes (x[i], y[i])."""
+    """Residuals of :func:`key_relation_residual` at the broadcast nodes (x, y)."""
     _check_pair(fam, sub)
     fields = node_fields(fam, x, y, submersion=sub)
     vanishing = ~(fields.areas > 1e-300)
     if vanishing.any():
-        i = int(np.argmax(vanishing))
-        raise DegenerateJacobian(f"surface area factor vanishes at x={x[i]}, y={y[i]}")
+        i = np.unravel_index(int(np.argmax(vanishing)), vanishing.shape)
+        x, y = (np.broadcast_to(a, vanishing.shape + a.shape[-1:])[i] for a in (x, y))
+        raise DegenerateJacobian(f"surface area factor vanishes at x={x}, y={y}")
     return np.abs(fields.areas - fields.dets * fields.gradients) / fields.areas
 
 
@@ -416,7 +442,7 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
     """
     x = _point(x, fam.n - fam.m, "x")
     y = _point(y, fam.m, "y")
-    return float(_key_relation_residuals(fam, sub, x[None], y[None])[0])
+    return float(_key_relation_residuals(fam, sub, x, y))
 
 
 def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, label: str):
@@ -430,7 +456,7 @@ def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, la
     """
     x_probes = np.vstack([fam.param_box.grid(2), fam.param_box.grid(1)])
     y_probes = np.vstack([fam.surface_box.grid(2), fam.surface_box.grid(1)])
-    worst = float(_key_relation_residuals(fam, sub, *_tensor_pairs(x_probes, y_probes)).max())
+    worst = float(_key_relation_residuals(fam, sub, x_probes[:, None], y_probes[None]).max())
     if not worst <= tol:
         raise InconsistentSubmersion(
             f"{label}: area-factor residual {worst:.3e} exceeds {tol:.1e}; the "

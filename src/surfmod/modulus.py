@@ -33,10 +33,11 @@ from .family import (
     ParametrizedFamily,
     Submersion,
     _check_pair,
+    _count,
+    _pairs,
     _point,
     _probe_key_relation,
     _stacked_map,
-    _tensor_pairs,
     evaluate_map,
     jacobian_full,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
@@ -90,23 +91,12 @@ def jacobian_floor(fam: ParametrizedFamily) -> float:
     q-power in the integrand.
     """
     x, y = fam.param_box.grid(_FLOOR_PROBES), fam.surface_box.grid(_FLOOR_PROBES)
-    return _DEGENERACY_FACTOR * float(np.median(_grid_fields(fam, x, y).dets))
+    return _DEGENERACY_FACTOR * float(np.median(node_fields(fam, x[:, None], y[None]).dets))
 
 
 def _rules(fam, quad):
     """Outer and inner rules of ``quad``: x nodes and weights, then y's."""
     return (*quad.box_rule(fam.param_box), *quad.box_rule(fam.surface_box))
-
-
-def _grid_fields(fam, x_nodes, y_nodes, floor=None, submersion=None) -> NodeFields:
-    """:func:`node_fields` on the tensor grid of ``x_nodes`` and ``y_nodes``.
-
-    One kernel call covers the whole grid; every field comes back with
-    leading shape (len(x_nodes), len(y_nodes)).
-    """
-    fields = node_fields(fam, *_tensor_pairs(x_nodes, y_nodes), floor=floor, submersion=submersion)
-    shape = (len(x_nodes), len(y_nodes))
-    return NodeFields(*(None if f is None else f.reshape(shape + f.shape[1:]) for f in fields))
 
 
 def _raise_first(bad, error, message):
@@ -117,14 +107,17 @@ def _raise_first(bad, error, message):
 
 def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
     """Surface weights l(x) at every row of ``x_nodes``, with the grid fields behind them."""
-    fields = _grid_fields(fam, x_nodes, y_nodes, floor=floor)
+    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], floor=floor)
     return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
 
 
 def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
     """Surface weights l(x) from the fields of the grid of ``x_nodes`` and ``y_nodes``."""
+    # In place: a grid-sized temporary is the larger part of modulus_p's memory.
     with np.errstate(over="ignore"):
-        values = (fields.areas / fields.dets) ** q * fields.dets
+        values = fields.areas / fields.dets
+        values **= q
+        values *= fields.dets
     _raise_first(
         ~np.isfinite(values),
         NonFiniteIntegrand,
@@ -282,9 +275,10 @@ class ExtremalDensity:
         """
         fam, nodes, weights = self.family, self._inner_nodes, self._inner_weights
         if np.array_equal(y_nodes, nodes):
-            fields = inner = _grid_fields(fam, x_nodes, nodes, floor=self._floor)
+            fields = inner = node_fields(fam, x_nodes[:, None], nodes[None], floor=self._floor)
         else:
-            grid = _grid_fields(fam, x_nodes, np.concatenate([y_nodes, nodes]), floor=self._floor)
+            y_grid = np.concatenate([y_nodes, nodes])[None]
+            grid = node_fields(fam, x_nodes[:, None], y_grid, floor=self._floor)
             count = len(y_nodes)
             fields = NodeFields(grid.dets[:, :count], grid.areas[:, :count])
             inner = NodeFields(grid.dets[:, count:], grid.areas[:, count:])
@@ -307,7 +301,8 @@ class ExtremalDensity:
             return
         fam = self.family
         per_axis = 8
-        x, y = _tensor_pairs(fam.param_box.grid(per_axis), fam.surface_box.grid(per_axis))
+        x, y = fam.param_box.grid(per_axis), fam.surface_box.grid(per_axis)
+        x, y = _pairs(x[:, None], y[None], (len(x), len(y)))
         self._seed_params = np.concatenate([x, y], axis=1)
         self._seed_images = _stacked_map(fam, x, y)
         span = self._seed_images.max(axis=0) - self._seed_images.min(axis=0)
@@ -385,7 +380,7 @@ def admissibility_check(
     x_samples = np.asarray(x_samples, dtype=float).reshape(-1, fam.n - fam.m)
     values, fields = density._evaluate_grid(x_samples, nodes)
     if density.family is not fam:
-        fields = _grid_fields(fam, x_samples, nodes)
+        fields = node_fields(fam, x_samples[:, None], nodes[None])
     integrals = (values * fields.areas) @ weights
     return [(x.copy(), float(total)) for x, total in zip(x_samples, integrals)]
 
@@ -406,7 +401,7 @@ def coarea_check(
     """
     _check_pair(fam, sub)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    fields = _grid_fields(fam, x_nodes, y_nodes, submersion=sub)
+    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=sub)
     weighted = np.outer(x_weights, y_weights)
     weighted = weighted * np.array([[float(integrand(z)) for z in row] for row in fields.images])
     lhs = weighted * fields.gradients * fields.dets
@@ -433,7 +428,7 @@ def submersion_modulus(
     _probe_key_relation(fam, sub, residual_tol, "submersion_modulus")
     floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    fields = _grid_fields(fam, x_nodes, y_nodes, floor=floor, submersion=sub)
+    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], floor=floor, submersion=sub)
     _raise_first(
         ~(fields.gradients > 0.0),
         DegenerateJacobian,
@@ -461,9 +456,14 @@ def extremality_probe(
     integral to restore admissibility and evaluates the p-energy by
     pullback.  Returns min over trials of (competitor energy - modulus);
     extremality of the density makes this nonnegative up to rounding.
+
+    ``trials`` must be an integer of at least 1 and ``amplitude`` lie in
+    [0, 1), else ValueError; a competitor whose energy is not finite
+    raises NonFiniteIntegrand.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    trials = _count(trials, "trials")
+    if not 0.0 <= amplitude < 1.0:
+        raise ValueError(f"amplitude must lie in [0, 1), got {amplitude!r}")
     q = conjugate_exponent(p)
     floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
@@ -473,28 +473,24 @@ def extremality_probe(
     floor_value = float(density.min())
 
     # Normalized coordinates of the nodes, for building the cosine waves.
-    u_box, v_box = fam.param_box, fam.surface_box
-    tx = (x_nodes - u_box.lower) / u_box.widths
-    ty = (y_nodes - v_box.lower) / v_box.widths
+    k = fam.n - fam.m
+    tx = (x_nodes - fam.param_box.lower) / fam.param_box.widths
+    ty = (y_nodes - fam.surface_box.lower) / fam.surface_box.widths
 
     rng = np.random.default_rng(seed)
     worst = np.inf
-    for _ in range(trials):
+    for trial in range(trials):
         orders = rng.integers(1, 4, size=fam.n)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=fam.n)
         amp = amplitude * floor_value * rng.uniform(0.1, 1.0)
-        wave_x = np.ones(len(x_nodes))
-        for axis in range(u_box.dim):
-            wave_x *= np.cos(2.0 * np.pi * orders[axis] * tx[:, axis] + phases[axis])
-        wave_y = np.ones(len(y_nodes))
-        for axis in range(v_box.dim):
-            wave_y *= np.cos(
-                2.0 * np.pi * orders[u_box.dim + axis] * ty[:, axis]
-                + phases[u_box.dim + axis]
-            )
+        wave_x = np.cos(2.0 * np.pi * orders[:k] * tx + phases[:k]).prod(axis=1)
+        wave_y = np.cos(2.0 * np.pi * orders[k:] * ty + phases[k:]).prod(axis=1)
         competitor = density + amp * np.outer(wave_x, wave_y)
         surface_integrals = (competitor * fields.areas) @ y_weights
         competitor = competitor / surface_integrals.min()
-        energy = float(x_weights @ ((competitor**p * fields.dets) @ y_weights))
+        with np.errstate(over="ignore"):
+            energy = float(x_weights @ ((competitor**p * fields.dets) @ y_weights))
+        if not np.isfinite(energy):
+            raise NonFiniteIntegrand(f"p-energy of competitor {trial} is {energy!r}")
         worst = min(worst, energy - modulus)
     return float(worst)

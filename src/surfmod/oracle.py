@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJacobian, InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, _count, _stacked_map, _tensor_pairs, node_fields
+from .family import ParametrizedFamily, _count, _pairs, _stacked_map, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
@@ -244,7 +244,9 @@ def discretize_family(
     """Sample a family into a discrete modulus program.
 
     A bounding box of the swept region is estimated from forward images
-    and padded by ``padding`` of its span on every side, then split into
+    and padded by ``padding`` of its span on every side (a finite value
+    of at least 0, else ValueError: a negative one would cut the image
+    off the grid), then split into
     ``cells_per_axis`` uniform cells per ambient axis.  For each of the
     parameter values on a uniform grid (``surfaces_count`` per parameter
     axis), the surface is sampled at ``samples_per_surface`` points per
@@ -279,6 +281,8 @@ def discretize_family(
     cells_per_axis = _count(cells_per_axis, "cells_per_axis")
     surfaces_count = _count(surfaces_count, "surfaces_count")
     samples_per_surface = _count(samples_per_surface, "samples_per_surface")
+    if not (np.isfinite(padding) and padding >= 0.0):
+        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
 
     # Padded bounding box of the image, from an endpoint-touching probe grid.
     probe_per_axis = 33 if fam.n <= 2 else (17 if fam.n == 3 else 9)
@@ -289,7 +293,8 @@ def discretize_family(
         axes = [np.linspace(lo, hi, probe_per_axis) for lo, hi in ends]
         return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
-    images = _stacked_map(fam, *_tensor_pairs(probe(fam.param_box), probe(fam.surface_box)))
+    x, y = probe(fam.param_box), probe(fam.surface_box)
+    images = _stacked_map(fam, *_pairs(x[:, None], y[None], (len(x), len(y))))
     box_lo = images.min(axis=0)
     box_hi = images.max(axis=0)
     span = box_hi - box_lo
@@ -314,23 +319,25 @@ def discretize_family(
     cells, weights, counts = [], [], []
     for start in range(0, len(x_values), block):
         x_block = x_values[start : start + block]
-        y_points = np.broadcast_to(y_base, (len(x_block),) + y_base.shape)
+        y_points = y_base
         if rng is not None:
-            y_points = y_base + (rng.uniform(-0.5, 0.5, size=y_points.shape) * y_cell)
-        x_points = np.repeat(x_block, per_surface, axis=0)
-        fields = node_fields(fam, x_points, y_points.reshape(-1, fam.m), images=True)
+            jitter = rng.uniform(-0.5, 0.5, size=(len(x_block),) + y_base.shape)
+            y_points = y_base + jitter * y_cell
+        # Fields of shape (surfaces in the block, samples per surface).
+        fields = node_fields(fam, x_block[:, None], y_points, images=True)
         # Row-major cell of each sample, one image column at a time.
-        cell = np.zeros(len(x_points), dtype=np.intp)
+        cell = np.zeros(fields.dets.shape, dtype=np.intp)
         for axis in range(fam.n):
-            column = ((fields.images[:, axis] - box_lo[axis]) / cell_widths[axis]).astype(np.intp)
+            column = ((fields.images[..., axis] - box_lo[axis]) / cell_widths[axis]).astype(np.intp)
             np.clip(column, 0, cells_per_axis - 1, out=column)
             cell += column * cells_per_axis ** (fam.n - 1 - axis)
-        volumes += np.bincount(cell, weights=fields.dets * sample_measure, minlength=n_cells)
+        measures = fields.dets.ravel() * sample_measure
+        volumes += np.bincount(cell.ravel(), weights=measures, minlength=n_cells)
         # bincount sums each (surface, cell) bin in sample order; bins
         # holding only zero-area samples sum to 0.0 and are dropped.
-        keys = np.repeat(np.arange(len(x_block)) * n_cells, per_surface) + cell
+        keys = np.arange(len(x_block))[:, None] * n_cells + cell
         keys, inverse = np.unique(keys, return_inverse=True)
-        block_weights = np.bincount(inverse, weights=fields.areas * sample_volume)
+        block_weights = np.bincount(inverse.ravel(), weights=fields.areas.ravel() * sample_volume)
         nonzero = block_weights != 0.0
         keys = keys[nonzero]
         cells.append(keys % n_cells)

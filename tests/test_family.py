@@ -63,6 +63,16 @@ def test_box_grid_midpoints():
     assert grid.shape == (9, 2)
 
 
+def test_box_grid_inset_stays_inside_the_half_width():
+    box = BoxDomain([0.0], [1.0])
+    np.testing.assert_allclose(box.grid(2, inset=0.25).ravel(), [0.375, 0.625])
+    # 0.5 collapses the grid onto the center, 0.7 reverses it, a negative
+    # inset leaves the box and NaN poisons every point
+    for bad in (0.5, 0.7, 1.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"inset must lie in \[0, 0.5\)"):
+            box.grid(3, inset=bad)
+
+
 def test_family_dimension_validation():
     box1 = BoxDomain([0.0], [1.0])
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The batched node-field kernel and the broadcasting calling convention."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,64 @@ def test_images_and_chunks_match_single_points(monkeypatch):
     np.testing.assert_allclose(whole.gradients, 1.0 / y[:, 0], rtol=1e-14)
     for point, a, b in zip(whole.images, x, y):
         np.testing.assert_array_equal(point, family.evaluate_map(entry.family, a, b))
+
+
+def test_tensor_grid_broadcasts_to_the_paired_nodes(monkeypatch):
+    # x[:, None] with y[None] is every x paired with every y, x-major,
+    # bit for bit, in one batch or in many
+    rng = np.random.default_rng(53)
+    whole = family._CHUNK
+    entries = (
+        make_polar_annulus(1.0, 2.0, mode="radial"),
+        make_shear([(0.0, 1.0), (0.5, 2.0)], [(0.0, 1.0), (-1.0, 0.5)], [[0.3, 0.2], [0.1, -0.5]]),
+    )
+    for entry in entries:
+        fam, sub = entry.family, entry.submersion
+        x, _ = random_nodes(rng, fam, 4)
+        _, y = random_nodes(rng, fam, 7)
+        pairs = (np.repeat(x, len(y), axis=0), np.tile(y, (len(x), 1)))
+        for options in ({}, {"images": True}, {"submersion": sub}):
+            monkeypatch.setattr(family, "_CHUNK", whole)
+            want = node_fields(fam, *pairs, **options)
+            row = node_fields(fam, x[0], y, **options)
+            for chunk in (whole, 5):
+                monkeypatch.setattr(family, "_CHUNK", chunk)
+                got = node_fields(fam, x[:, None], y[None], **options)
+                for grid, paired in zip(got, want):
+                    if paired is None:
+                        assert grid is None
+                        continue
+                    assert grid.shape == (len(x), len(y)) + paired.shape[1:]
+                    np.testing.assert_array_equal(grid.reshape(paired.shape), paired)
+                for first, grid in zip(row, got):
+                    if grid is not None:
+                        np.testing.assert_array_equal(first, grid[0])
+
+
+def test_chunked_grid_names_its_first_degenerate_node(monkeypatch):
+    # y-major, the first node with y = 0 is the last of the third batch
+    monkeypatch.setattr(family, "_CHUNK", 3)
+    y = NODES_Y.copy()
+    y[2, 0] = 0.0
+    with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.1], y=[0.]")):
+        node_fields(_polar(), NODES_X[None], y[:, None], floor=1e-6)
+
+
+def test_grid_memory_is_bounded_by_the_outputs(monkeypatch):
+    # 373,248 nodes in batches of 4096: the peak is dets, areas and the
+    # integrand of l(x), not the (x, y) pairs of the whole grid
+    monkeypatch.setattr(family, "_CHUNK", 1 << 12)
+    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)], [[0.5, 0.5]]).family
+    quad = QuadratureScheme(12, 6)
+    tracemalloc.start()
+    try:
+        report = modulus_p(fam, 2.5, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = 2 * 8 * report.node_count
+    assert report.node_count == 72**3
+    assert peak < 2 * outputs
 
 
 def _polar_jacobian(x, y):

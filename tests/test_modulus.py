@@ -434,9 +434,30 @@ def test_extremality_random_competitors_lose():
 
 
 def test_extremality_probe_needs_trials():
+    # a count like the others: 2.5 used to die in range(), True to run one trial
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
-    with pytest.raises(ValueError):
-        extremality_probe(fam, 2.0, QUAD, trials=0)
+    for bad in (0, 2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="trials must be"):
+            extremality_probe(fam, 2.0, QUAD, trials=bad)
+
+
+def test_extremality_probe_checks_amplitude():
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+    # from amplitude 1 on competitors can turn negative and their energy
+    # NaN; the probe used to skip those trials, or return inf for NaN
+    for bad in (1.0, 1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"amplitude must lie in \[0, 1\)"):
+            extremality_probe(fam, 2.5, QUAD, trials=20, amplitude=bad)
+    assert extremality_probe(fam, 2.5, QUAD, trials=2, amplitude=0.99) >= -1e-9
+
+
+def test_extremality_probe_raises_on_a_non_finite_competitor_energy():
+    # a modulus of 1.79e308 is finite, and a competitor's energy above it overflows
+    a = 1.79e308 ** (-1.0 / 3.0)
+    fam = constant_jacobian_family(np.diag([1.0 / a, a]))
+    assert np.isfinite(modulus_p(fam, 3.0, QUAD).modulus)
+    with pytest.raises(NonFiniteIntegrand, match="p-energy of competitor 0 is inf"):
+        extremality_probe(fam, 3.0, QUAD, trials=3, amplitude=0.9)
 
 
 def test_extremality_probe_rejects_an_overflowing_modulus():

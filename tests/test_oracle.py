@@ -487,6 +487,16 @@ def test_discretize_validates_counts():
         discretize_family(fam, 2.0, 4, 3, 0)
 
 
+def test_discretize_rejects_a_negative_or_infinite_padding():
+    # -0.3 used to shrink the box and return +3.5% without a word,
+    # -1.0 to flip it, and inf to die on non-finite cell centers
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+    for bad in (-0.3, -1.0, -0.5, -1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError, match="padding must be finite and >= 0"):
+            discretize_family(fam, 2.0, 16, 48, 64, padding=bad)
+    assert discretize_family(fam, 2.0, 4, 3, 4, padding=0.0).cell_count > 0
+
+
 def test_counts_must_be_integers():
     # as QuadratureScheme's: bools and non-integral values are rejected, numpy integers kept
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
