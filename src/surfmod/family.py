@@ -352,7 +352,7 @@ def node_fields(
     if count <= _CHUNK:
         flat = batch(*_pairs(x, y, shape))
     else:
-        # Each batch gathered from broadcast views and written into the outputs.
+        # Zero-copy broadcast views: only the current batch's pairs are materialized.
         x, y = np.broadcast_to(x, shape + (k,)), np.broadcast_to(y, shape + (fam.m,))
         flat = None
         for start in range(0, count, _CHUNK):
