@@ -21,6 +21,7 @@ from .family import (
     BoxDomain,
     ParametrizedFamily,
     Submersion,
+    _paired,
     _probe_key_relation,
     compose,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
@@ -125,8 +126,8 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
         m=m,
         param_box=u,
         surface_box=v,
-        map=lambda x, y: np.concatenate([x, y], axis=-1) @ lt,
-        jacobian=_constant(L),
+        map=_paired(lambda x, y: np.concatenate([x, y], axis=-1) @ lt),
+        jacobian=_paired(_constant(L)),
     )
     sub = Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
     _probe_key_relation(family, sub, _PROBE_TOL, f"catalog entry {name!r}")

@@ -54,6 +54,19 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _product(axes) -> np.ndarray:
+    """Tensor grid of the 1-d ``axes`` as rows, (n1 * ... * nd, d), the last axis fastest.
+
+    The rows of ``meshgrid(*axes, indexing="ij")`` stacked, bit for bit:
+    each axis is assigned into one preallocated array.
+    """
+    shape = tuple(len(a) for a in axes)
+    out = np.empty(shape + (len(shape),))
+    for i, a in enumerate(axes):
+        out[..., i] = np.reshape(a, (-1,) + (1,) * (len(shape) - 1 - i))
+    return out.reshape(-1, len(shape))
+
+
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
     """Open axis-aligned box, stored as per-axis lower and upper bounds."""
@@ -98,12 +111,7 @@ class BoxDomain:
             raise ValueError(f"inset must lie in [0, 0.5), got {inset!r}")
         lo = self.lower + inset * self.widths
         hi = self.upper - inset * self.widths
-        axes = [
-            lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
+        return _product(lo[:, None] + (hi - lo)[:, None] * (np.arange(per_axis) + 0.5) / per_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +314,22 @@ class NodeFields(NamedTuple):
     gradients: np.ndarray | None = None
 
 
+def _paired(fn):
+    """``fn(x, y)``, written for x and y of equal leading shapes, broadcast
+    over any: unequal ones are paired into rows first, so a grid's values
+    are bit for bit those of its paired nodes."""
+
+    def wrapper(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.shape[:-1] == y.shape[:-1]:
+            return fn(x, y)
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        out = fn(*_pairs(x, y, shape))
+        return out.reshape(shape + out.shape[1:])
+
+    return wrapper
+
+
 def _pairs(x, y, shape):
     """The nodes (x, y), broadcast to the leading ``shape``, as equally long arrays of rows."""
     xs, ys = np.empty(shape + x.shape[-1:]), np.empty(shape + y.shape[-1:])
@@ -491,7 +515,7 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
             out = fn(x.reshape(-1, k), np.asarray(y, dtype=float).reshape(-1, fam.m))
             return out.reshape(x.shape[:-1] + out.shape[1:])
 
-        return wrapper
+        return _paired(wrapper)
 
     def composed(x, y):
         z = _stacked_map(fam, x, y)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import family as _family
 from .errors import DegenerateJacobian, InversionFailure, NonFiniteIntegrand
 from .family import (
     NodeFields,
@@ -137,8 +138,11 @@ def _check_weights(l_vals, x_nodes, label):
 
 def _density(fields, q, l_vals, x_nodes, y_nodes):
     """Extremal density (A / J)^(q-1) / l(x) on a grid of node fields."""
+    # In place, as in _weights_from_fields: one grid-sized array.
     with np.errstate(over="ignore"):
-        values = (fields.areas / fields.dets) ** (q - 1.0) / l_vals[:, None]
+        values = fields.areas / fields.dets
+        values **= q - 1.0
+        values /= l_vals[:, None]
     _raise_first(
         ~np.isfinite(values),
         NonFiniteIntegrand,
@@ -162,9 +166,7 @@ def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
         p=float(p),
         q=float(q),
         modulus=_outer_integral(x_weights, l_vals, p),
-        l_samples=tuple(
-            (tuple(float(c) for c in x), float(l_val)) for x, l_val in zip(x_nodes, l_vals)
-        ),
+        l_samples=tuple(zip(map(tuple, x_nodes.tolist()), l_vals.tolist())),
         min_jacobian=float(dets.min()),
         node_count=dets.size,
     )
@@ -439,6 +441,19 @@ def submersion_modulus(
     return _report(p, q, x_nodes, x_weights, level, fields.dets)
 
 
+def _waves(nodes, box, orders, phases):
+    """Product over the axes of cos(2 pi order t + phase), t the nodes'
+    coordinates normalized to ``box``: one row per node, one column per
+    row of ``orders`` and ``phases``."""
+    t = (nodes - box.lower) / box.widths
+    waves, arg = np.ones((len(t), len(orders))), np.empty((len(t), len(orders)))
+    for j in range(box.dim):
+        np.multiply(2.0 * np.pi * orders[:, j], t[:, j, None], out=arg)
+        arg += phases[:, j]
+        waves *= np.cos(arg, out=arg)
+    return waves
+
+
 def extremality_probe(
     fam: ParametrizedFamily,
     p: float,
@@ -457,9 +472,20 @@ def extremality_probe(
     pullback.  Returns min over trials of (competitor energy - modulus);
     extremality of the density makes this nonnegative up to rounding.
 
+    Every trial's wave orders, phases and amplitude come from three bulk
+    draws of ``default_rng(seed)``, (trials, n), (trials, n) and
+    (trials,), so one seed always gives the same competitors.  Their
+    surface integrals follow from the density's own without forming the
+    competitors.  The competitors are formed, raised to the power p and
+    reduced in batches of at most ``family._CHUNK`` grid values (one row
+    of the grid when a row is longer) in one reused buffer; a batch's
+    trials get their waves and rescale together, so memory beyond
+    ``modulus_p``'s is that buffer and a few arrays of one value per
+    node of one axis and trial of the batch.
+
     ``trials`` must be an integer of at least 1 and ``amplitude`` lie in
     [0, 1), else ValueError; a competitor whose energy is not finite
-    raises NonFiniteIntegrand.
+    raises NonFiniteIntegrand, naming the first such trial.
     """
     trials = _count(trials, "trials")
     if not 0.0 <= amplitude < 1.0:
@@ -470,27 +496,43 @@ def extremality_probe(
     l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor)
     modulus = _outer_integral(x_weights, l_vals, p)
     density = _density(fields, q, l_vals, x_nodes, y_nodes)
-    floor_value = float(density.min())
 
-    # Normalized coordinates of the nodes, for building the cosine waves.
     k = fam.n - fam.m
-    tx = (x_nodes - fam.param_box.lower) / fam.param_box.widths
-    ty = (y_nodes - fam.surface_box.lower) / fam.surface_box.widths
-
     rng = np.random.default_rng(seed)
-    worst = np.inf
-    for trial in range(trials):
-        orders = rng.integers(1, 4, size=fam.n)
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=fam.n)
-        amp = amplitude * floor_value * rng.uniform(0.1, 1.0)
-        wave_x = np.cos(2.0 * np.pi * orders[:k] * tx + phases[:k]).prod(axis=1)
-        wave_y = np.cos(2.0 * np.pi * orders[k:] * ty + phases[k:]).prod(axis=1)
-        competitor = density + amp * np.outer(wave_x, wave_y)
-        surface_integrals = (competitor * fields.areas) @ y_weights
-        competitor = competitor / surface_integrals.min()
-        with np.errstate(over="ignore"):
-            energy = float(x_weights @ ((competitor**p * fields.dets) @ y_weights))
-        if not np.isfinite(energy):
-            raise NonFiniteIntegrand(f"p-energy of competitor {trial} is {energy!r}")
-        worst = min(worst, energy - modulus)
-    return float(worst)
+    orders = rng.integers(1, 4, size=(trials, fam.n))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(trials, fam.n))
+    amps = amplitude * float(density.min()) * rng.uniform(0.1, 1.0, size=trials)
+    own_integrals = np.einsum("ij,ij,j->i", density, fields.areas, y_weights)
+
+    # Batches of `group` trials times `rows` x rows, at most _CHUNK values.
+    nx, ny = density.shape
+    rows = max(1, min(nx, _family._CHUNK // ny))
+    group = min(trials, max(1, _family._CHUNK // (rows * ny)))
+    buffer = np.empty(group * rows * ny)
+    energies = np.zeros(trials)
+    with np.errstate(over="ignore"):
+        for t in range(0, trials, group):
+            span = slice(t, t + group)
+            # One column per trial; wave_x carries the trial's amplitude.
+            wave_x = _waves(x_nodes, fam.param_box, orders[span, :k], phases[span, :k])
+            wave_x *= amps[span]
+            wave_y = _waves(y_nodes, fam.surface_box, orders[span, k:], phases[span, k:])
+            # Surface integrals of density + wave_x wave_y, whose smallest rescales.
+            shifts = wave_x * (fields.areas @ (wave_y * y_weights[:, None]))
+            smallest = (own_integrals[:, None] + shifts).min(axis=0)
+            for i in range(0, nx, rows):
+                block = slice(i, i + rows)
+                wx = wave_x[block].T
+                values = buffer[: wx.size * ny].reshape(wx.shape + (ny,))
+                np.multiply(wx[:, :, None], wave_y.T[:, None], out=values)
+                values += density[block]
+                values /= smallest[:, None, None]
+                values **= p
+                values *= fields.dets[block]
+                energies[span] += (values @ y_weights) @ x_weights[block]
+    _raise_first(
+        ~np.isfinite(energies),
+        NonFiniteIntegrand,
+        lambda i: f"p-energy of competitor {i} is {float(energies[i])!r}",
+    )
+    return float(energies.min() - modulus)

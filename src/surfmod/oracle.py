@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateJacobian, InfeasibleSurface, NoConvergence
-from .family import ParametrizedFamily, _count, _pairs, _stacked_map, node_fields
+from .family import ParametrizedFamily, _count, _pairs, _product, _stacked_map, node_fields
 # perfbench/spans.py traces these three names at this module.
 from .family import evaluate_map, jacobian_partial_y  # noqa: F401
 from .linalg import generalized_norm  # noqa: F401
@@ -290,8 +290,7 @@ def discretize_family(
     def probe(box):
         pad = 1e-9 * box.widths
         ends = zip(box.lower + pad, box.upper - pad)
-        axes = [np.linspace(lo, hi, probe_per_axis) for lo, hi in ends]
-        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        return _product([np.linspace(lo, hi, probe_per_axis) for lo, hi in ends])
 
     x, y = probe(fam.param_box), probe(fam.surface_box)
     images = _stacked_map(fam, *_pairs(x[:, None], y[None], (len(x), len(y))))

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .family import BoxDomain, _count
+from .family import BoxDomain, _count, _product
 
 __all__ = ["QuadratureScheme"]
 
@@ -51,16 +51,8 @@ class QuadratureScheme:
 
     def box_rule(self, box: BoxDomain):
         """Tensor-product rule over a box: nodes of shape (N, dim), weights (N,)."""
-        axis_nodes = []
-        axis_weights = []
-        for i in range(box.dim):
-            nodes, weights = self.axis_rule(box.lower[i], box.upper[i])
-            axis_nodes.append(nodes)
-            axis_weights.append(weights)
-        node_mesh = np.meshgrid(*axis_nodes, indexing="ij")
-        weight_mesh = np.meshgrid(*axis_weights, indexing="ij")
-        nodes = np.stack([g.ravel() for g in node_mesh], axis=-1)
-        weights = np.ones(nodes.shape[0])
-        for g in weight_mesh:
-            weights = weights * g.ravel()
-        return nodes, weights
+        rules = [self.axis_rule(lo, hi) for lo, hi in zip(box.lower, box.upper)]
+        weights = rules[0][1]
+        for _, axis_weights in rules[1:]:
+            weights = np.multiply.outer(weights, axis_weights).ravel()
+        return _product([nodes for nodes, _ in rules]), weights

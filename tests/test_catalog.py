@@ -265,6 +265,22 @@ def test_build_entry_registry():
         build_entry("shear", {"b": [[1.0, 2.0]]})
 
 
+@pytest.mark.parametrize("name", available_families())
+def test_registry_maps_broadcast_a_tensor_grid(name):
+    # x (3, k) and y (2, m) as x[:, None] and y[None]: the linear maps used
+    # to die in concatenate, and their constant Jacobians came back (3, 1, n, n)
+    fam = build_entry(name).family
+    rng = np.random.default_rng(5)
+    k = fam.n - fam.m
+    x = fam.param_box.lower + rng.uniform(0.1, 0.9, (3, k)) * fam.param_box.widths
+    y = fam.surface_box.lower + rng.uniform(0.1, 0.9, (2, fam.m)) * fam.surface_box.widths
+    xs, ys = np.repeat(x, 2, axis=0), np.tile(y, (3, 1))
+    for fn, tail in ((fam.map, (fam.n,)), (fam.jacobian, (fam.n, fam.n))):
+        grid, paired = fn(x[:, None], y[None]), fn(xs, ys)
+        assert grid.shape == (3, 2) + tail and paired.shape == (6,) + tail
+        np.testing.assert_array_equal(grid.reshape(paired.shape), paired)
+
+
 def test_build_entry_defaults():
     entry = build_entry("parallel")
     assert entry.expected_modulus(2.0) == pytest.approx(1.0)

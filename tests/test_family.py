@@ -73,6 +73,20 @@ def test_box_grid_inset_stays_inside_the_half_width():
             box.grid(3, inset=bad)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_grid_matches_a_meshgrid_reference(dim):
+    box = BoxDomain(np.linspace(-1.0, 0.5, dim), np.linspace(0.3, 2.0, dim) ** 2)
+    for per_axis, inset in ((1, 0.0), (3, 0.0), (4, 0.1), (5, 0.37)):
+        lo = box.lower + inset * box.widths
+        hi = box.upper - inset * box.widths
+        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(per_axis) + 0.5) / per_axis for i in range(dim)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        reference = np.stack([g.ravel() for g in mesh], axis=-1)
+        grid = box.grid(per_axis, inset=inset)
+        assert grid.shape == reference.shape == (per_axis**dim, dim)
+        np.testing.assert_array_equal(grid, reference)
+
+
 def test_family_dimension_validation():
     box1 = BoxDomain([0.0], [1.0])
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from surfmod import (
     node_fields,
     submersion_modulus,
 )
+from surfmod import family as family_module
 
 QUAD = QuadratureScheme(order=10, subdivisions=3)
 
@@ -458,6 +460,101 @@ def test_extremality_probe_raises_on_a_non_finite_competitor_energy():
     assert np.isfinite(modulus_p(fam, 3.0, QUAD).modulus)
     with pytest.raises(NonFiniteIntegrand, match="p-energy of competitor 0 is inf"):
         extremality_probe(fam, 3.0, QUAD, trials=3, amplitude=0.9)
+
+
+def _probe_reference(fam, p, quad, trials, seed, amplitude=0.3):
+    """Each trial's competitor and p-energy, and the modulus, one trial at
+    a time from the probe's three bulk draws."""
+    density = extremal_density(fam, p, quad)
+    x_nodes, x_weights = quad.box_rule(fam.param_box)
+    y_nodes, y_weights = quad.box_rule(fam.surface_box)
+    values, fields = density._evaluate_grid(x_nodes, y_nodes)
+    l_vals = np.array([density.l_value(x) for x in x_nodes])
+    modulus = x_weights @ l_vals ** (1.0 - p)
+    k = fam.n - fam.m
+    tx = (x_nodes - fam.param_box.lower) / fam.param_box.widths
+    ty = (y_nodes - fam.surface_box.lower) / fam.surface_box.widths
+    rng = np.random.default_rng(seed)
+    orders = rng.integers(1, 4, size=(trials, fam.n))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(trials, fam.n))
+    amps = rng.uniform(0.1, 1.0, size=trials)
+    competitors, energies = [], []
+    for trial in range(trials):
+        wave_x = np.cos(2.0 * np.pi * orders[trial, :k] * tx + phases[trial, :k]).prod(axis=1)
+        wave_y = np.cos(2.0 * np.pi * orders[trial, k:] * ty + phases[trial, k:]).prod(axis=1)
+        competitor = values + amplitude * values.min() * amps[trial] * np.outer(wave_x, wave_y)
+        competitor = competitor / ((competitor * fields.areas) @ y_weights).min()
+        competitors.append(competitor)
+        energies.append(x_weights @ ((competitor**p * fields.dets) @ y_weights))
+    return competitors, np.array(energies), modulus
+
+
+PROBE_CASES = [
+    (make_polar_annulus(1.0, 2.3, mode="radial").family, 2.4, QUAD),
+    (make_parallel([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)]).family, 2.9, QuadratureScheme(5, 2)),
+    (
+        make_shear([(0.0, 1.0)] * 2, [(0.0, 1.5), (0.0, 0.7)], [[0.3, -0.2], [0.1, 0.5]]).family,
+        1.7,
+        QuadratureScheme(3, 2),
+    ),
+    (build_entry("condenser").family, 2.2, QUAD),
+]
+
+
+@pytest.mark.parametrize("fam, p, quad", PROBE_CASES)
+def test_extremality_probe_matches_a_per_trial_loop(fam, p, quad):
+    # the gap is a small difference of energies; compare it on their scale
+    _, energies, modulus = _probe_reference(fam, p, quad, trials=30, seed=5)
+    gap = extremality_probe(fam, p, quad, trials=30, seed=5)
+    assert abs(gap - (energies.min() - modulus)) <= 1e-12 * modulus
+    assert gap >= -1e-9
+
+
+@pytest.mark.parametrize("fam, p, quad", PROBE_CASES)
+def test_extremality_probe_batches_do_not_change_the_gap(fam, p, quad, monkeypatch):
+    # 97 values a batch: several rows or a row at a time, never a whole trial
+    modulus = modulus_p(fam, p, quad).modulus
+    whole = extremality_probe(fam, p, quad, trials=7, seed=2)
+    monkeypatch.setattr(family_module, "_CHUNK", 97)
+    assert abs(extremality_probe(fam, p, quad, trials=7, seed=2) - whole) <= 1e-13 * modulus
+
+
+def test_extremality_probe_names_the_first_non_finite_competitor():
+    # diag(s, t) has density 1/t and |det J| = s t, so competitor^p |det J|
+    # is the identity's times s t^(1-p).  Put that factor at the largest
+    # float over a threshold between trial 0's largest competitor^p and a
+    # later trial's: only the trials above it overflow, and the first of
+    # them is named.
+    p, trials, s = 3.0, 12, 1e200
+    competitors, _, _ = _probe_reference(constant_jacobian_family(np.eye(2)), p, QUAD, trials, seed=4)
+    peaks = np.array([c.max() ** p for c in competitors])
+    first = int(np.argmax(peaks > peaks[0]))
+    assert first > 0
+    threshold = 0.5 * (peaks[0] + peaks[peaks > peaks[0]].min())
+    t = (np.finfo(float).max / threshold / s) ** (1.0 / (1.0 - p))
+    fam = constant_jacobian_family(np.diag([s, t]))
+    with pytest.raises(NonFiniteIntegrand, match=f"p-energy of competitor {first} is inf"):
+        extremality_probe(fam, p, QUAD, trials=trials, seed=4)
+
+
+def test_extremality_probe_holds_no_more_than_modulus_p(monkeypatch):
+    # 373,248 nodes in kernel batches of 4096: besides the density, the
+    # probe keeps one batch-sized buffer, so its peak is modulus_p's
+    monkeypatch.setattr(family_module, "_CHUNK", 1 << 12)
+    fam = make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 1.0)], [[0.5, 0.5]]).family
+    quad = QuadratureScheme(12, 6)
+    grid = 8 * 72**3
+    # first-call allocations, numpy's lazy np.random import among them, stay out of the peaks
+    extremality_probe(fam, 2.5, QuadratureScheme(2, 1), trials=2)
+    peaks = []
+    for route in (lambda: modulus_p(fam, 2.5, quad), lambda: extremality_probe(fam, 2.5, quad)):
+        tracemalloc.start()
+        try:
+            route()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.25 * grid
 
 
 def test_extremality_probe_rejects_an_overflowing_modulus():

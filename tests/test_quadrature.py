@@ -71,6 +71,23 @@ def test_box_rule_tensor_structure():
     assert value == pytest.approx((1.0 / 3.0) * 4.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_box_rule_matches_a_meshgrid_reference(dim):
+    box = BoxDomain(np.linspace(-1.0, 0.5, dim), np.linspace(0.3, 2.0, dim) ** 2)
+    for quad in (QuadratureScheme(1, 1), QuadratureScheme(3, 2), QuadratureScheme(2, 3)):
+        rules = [quad.axis_rule(lo, hi) for lo, hi in zip(box.lower, box.upper)]
+        node_mesh = np.meshgrid(*[nodes for nodes, _ in rules], indexing="ij")
+        weight_mesh = np.meshgrid(*[weights for _, weights in rules], indexing="ij")
+        reference = np.stack([g.ravel() for g in node_mesh], axis=-1)
+        reference_weights = np.ones(len(reference))
+        for g in weight_mesh:
+            reference_weights = reference_weights * g.ravel()
+        nodes, weights = quad.box_rule(box)
+        assert nodes.shape == reference.shape and weights.shape == reference_weights.shape
+        np.testing.assert_array_equal(nodes, reference)
+        np.testing.assert_array_equal(weights, reference_weights)
+
+
 def test_box_rule_convergence_of_midpoint():
     box = BoxDomain([0.0], [1.0])
     coarse = QuadratureScheme(order=1, subdivisions=8)
