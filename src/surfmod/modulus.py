@@ -119,12 +119,21 @@ def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
         values = fields.areas / fields.dets
         values **= q
         values *= fields.dets
-    _raise_first(
-        ~np.isfinite(values),
-        NonFiniteIntegrand,
-        lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
-    )
-    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)")
+    l_vals = values @ y_weights
+    # (A / J)^q can under- or overflow where A^q J^(1-q) does not, so the
+    # rows that fail the checks are formed again from logarithms.
+    redo = ~(np.isfinite(l_vals) & (l_vals >= _L_FLOOR))
+    if redo.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = q * np.log(fields.areas[redo]) + (1.0 - q) * np.log(fields.dets[redo])
+            values[redo] = np.exp(logs)
+        _raise_first(
+            ~np.isfinite(values),
+            NonFiniteIntegrand,
+            lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
+        )
+        l_vals = values @ y_weights
+    return _check_weights(l_vals, x_nodes, "surface weight l(x)")
 
 
 def _check_weights(l_vals, x_nodes, label):
@@ -375,11 +384,16 @@ def admissibility_check(
 ) -> list:
     """Surface integrals of a density over the surfaces through ``x_samples``.
 
-    Each returned entry is (x, integral); admissibility of the extremal
-    density shows up as integrals equal to one up to quadrature error.
+    ``x_samples`` has shape (N, n - m), one parameter point per row;
+    any other shape raises ValueError.  Each returned entry is
+    (x, integral); admissibility of the extremal density shows up as
+    integrals equal to one up to quadrature error.
     """
+    k = fam.n - fam.m
+    x_samples = np.asarray(x_samples, dtype=float)
+    if x_samples.ndim != 2 or x_samples.shape[1] != k:
+        raise ValueError(f"x_samples must have shape (N, {k}), got {x_samples.shape}")
     nodes, weights = quad.box_rule(fam.surface_box)
-    x_samples = np.asarray(x_samples, dtype=float).reshape(-1, fam.n - fam.m)
     values, fields = density._evaluate_grid(x_samples, nodes)
     if density.family is not fam:
         fields = node_fields(fam, x_samples[:, None], nodes[None])

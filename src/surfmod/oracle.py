@@ -13,7 +13,9 @@ program
                density >= 0
 
 is solved through its smooth concave dual followed by a feasibility
-rescaling.  The two routes share the family and the node-field kernel
+rescaling.  Each projected Newton step on the dual forms its Hessian by
+one sparse product, A diag(curvature) A^T, in memory of order
+nnz(A A^T).  The two routes share the family and the node-field kernel
 (|det J| and the area factors of :func:`surfmod.family.node_fields`,
 checked in ``tests/test_kernel.py`` against ``np.linalg.det`` and a sum
 over minors), but not l(x), the quadrature or the closed form, so their
@@ -33,6 +35,7 @@ needs a separate guard.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +67,15 @@ _DAMPING = 1e-2
 _ARMIJO = 1e-4
 _BACKTRACKS = 60
 _EPS = float(np.finfo(float).eps)
+
+
+def _check_limits(tol, max_iters) -> None:
+    """Reject a ``tol`` that is not finite and > 0, and a ``max_iters``
+    that is not an integer >= 0 or is a bool."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
 
 
 def _fmt(value: float) -> str:
@@ -368,52 +380,6 @@ def discretize_family(
     )
 
 
-class _DualHessian:
-    """Sparsity pattern of the dual Hessian A diag(c) A^T, filled per step.
-
-    Entry (s, t) sums weight_sc * weight_tc * c_c over the cells c that
-    surfaces s and t share.  Those (s, t, c) products are listed once,
-    upper triangle only and grouped by entry, so a fill is one gather and
-    one segmented sum; memory grows with nnz(A A^T) and the products, not
-    with the square of the surface count.  ``indptr``/``indices`` lay the
-    full symmetric matrix out in compressed columns (or rows: they agree).
-    """
-
-    def __init__(self, a):
-        surfaces = a.shape[0]
-        by_cell = a.tocsc()
-        counts = np.diff(by_cell.indptr)
-        # Each entry pairs with itself and with the later entries of its cell.
-        later = np.repeat(by_cell.indptr[1:], counts) - np.arange(by_cell.nnz)
-        first = np.repeat(np.arange(by_cell.nnz), later)
-        second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-        s, t = by_cell.indices[first], by_cell.indices[second]
-        # A stable sort of the smallest unsigned key type (a radix sort for
-        # up to 256 surfaces) groups the products by entry.
-        key = s.astype(np.int64) * surfaces + t
-        order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
-        key = key[order]
-        self.cells = np.repeat(np.arange(a.shape[1]), counts)[first[order]]
-        self.products = by_cell.data[first[order]] * by_cell.data[second[order]]
-        self.starts = np.flatnonzero(np.diff(key, prepend=-1))
-        upper = key[self.starts]
-        # The full matrix: the upper entries plus the mirror of the strict ones.
-        rows, cols = upper // surfaces, upper % surfaces
-        strict = np.flatnonzero(rows != cols)
-        full_rows = np.concatenate([rows, cols[strict]])
-        full_cols = np.concatenate([cols, rows[strict]])
-        order = np.lexsort((full_cols, full_rows))
-        self.source = np.concatenate([np.arange(upper.size), strict])[order]
-        self.rows, self.indices = full_rows[order], full_cols[order]
-        self.indptr = np.searchsorted(self.rows, np.arange(surfaces + 1))
-        self.diagonal = np.flatnonzero(self.rows == self.indices)
-
-    def fill(self, curvature) -> np.ndarray:
-        """Values of A diag(curvature) A^T in the full pattern's order."""
-        upper = np.add.reduceat(self.products * curvature.take(self.cells), self.starts)
-        return upper[self.source]
-
-
 def solve_discrete(
     problem: DiscreteModulusProblem,
     tol: float = 1e-7,
@@ -425,14 +391,13 @@ def solve_discrete(
     smooth and concave: the cellwise inner minimization has the closed
     form density_c = (load_c / (p volume_c))^(1/(p-1)), with load = A^T lam
     the multiplier-combined surface weight, and the dual's Hessian is
-    -A diag(density / ((p-1) load)) A^T, as sparse as A A^T; its pattern
-    is built at the first Newton step, so a program that the rescaled
-    all-ones start already certifies, such as an affine family's, never
-    builds it.  The dual is maximized by projected Newton steps
-    (Bertsekas 1982): surfaces at or near the bound and pushed into it
-    move by a diagonally scaled gradient step, the others by a Newton
-    step damped in the Levenberg-Marquardt way, and an Armijo search runs
-    along the projection arc max(0, lam + alpha d).  The resulting density is
+    -A diag(density / ((p-1) load)) A^T, formed at each Newton step by one
+    sparse product that holds only the nnz(A A^T) entries.  The dual is
+    maximized by projected Newton steps (Bertsekas 1982): surfaces at or
+    near the bound and pushed into it move by a diagonally scaled
+    gradient step, the others by a Newton step damped in the
+    Levenberg-Marquardt way, and an Armijo search runs along the
+    projection arc max(0, lam + alpha d).  The resulting density is
     rescaled by the smallest constraint margin to restore feasibility.
     The iteration returns as soon as the relative gap between that
     rescaled density's objective and the dual value is at most ``tol``,
@@ -447,6 +412,9 @@ def solve_discrete(
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not finite and > 0, or ``max_iters`` is not an
+        integer >= 0 (a bool is not one).
     InfeasibleSurface
         If some surface carries no weight at all.
     NoConvergence
@@ -457,6 +425,7 @@ def solve_discrete(
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
 
+    _check_limits(tol, max_iters)
     p = problem.p
     q = conjugate_exponent(p)
     if problem.surface_count == 0:
@@ -483,9 +452,8 @@ def solve_discrete(
     volumes = np.ldexp(problem.volumes, -volume_exp)
     energy_scale = float(np.exp2(volume_exp - p * weight_exp))
     a_t = a.T  # built once: each a.T makes a new sparse wrapper
-    hessian = None  # built by the first Newton step; a certified rescale needs none
     exponent = 1.0 / (p - 1.0)
-    shape = (problem.surface_count,) * 2
+    surfaces = problem.surface_count
 
     def evaluate(lam):
         """Loads, densities and constraint margins at the multipliers."""
@@ -518,7 +486,7 @@ def solve_discrete(
         gap = (objective - lower) / objective if objective > 0.0 else np.inf
         return gap, objective, lower
 
-    lam = np.ones(problem.surface_count)
+    lam = np.ones(surfaces)
     load, density, margins = evaluate(lam)
     gap = violation = np.inf
     for step in range(max_iters + 1):
@@ -548,23 +516,29 @@ def solve_discrete(
         curvature = np.divide(
             density, (p - 1.0) * load, out=np.zeros_like(load), where=load > 0.0
         )
-        if hessian is None:
-            hessian = _DualHessian(a)
-        values = hessian.fill(curvature)
+        scaled = csr_matrix((a.data * curvature[a.indices], a.indices, a.indptr), shape=a.shape)
+        hessian = (scaled @ a_t).tocoo()
+        rows, cols, values = hessian.row, hessian.col, hessian.data
+        # The product drops entries that sum to exactly 0, among them the
+        # diagonal entry of a surface whose cells all carry zero load;
+        # bincount gives that surface a 0.
+        on_diagonal = rows == cols
+        diagonal = np.bincount(rows[on_diagonal], values[on_diagonal], minlength=surfaces)
         # Marquardt damping, relative to each diagonal entry and fading
         # with the projected gradient; the floor keeps a surface whose
         # cells all carry zero load (zero curvature) solvable.
-        diagonal = values[hessian.diagonal]
         damped = diagonal * (1.0 + _DAMPING * min(1.0, defect)) + 1e-12 * diagonal.max()
         # Bertsekas' active set: surfaces within `width` of the bound that
         # the gradient pushes into it take a diagonally scaled gradient
         # step, decoupled from the Newton step of the free ones.
         width = min(1e-3 * lam.max(), np.abs(lam - np.maximum(lam - grad / damped, 0.0)).max())
         free = ~((lam <= width) & (grad > 0.0))
-        values = np.where(free[hessian.rows] & free[hessian.indices], values, 0.0)
-        values[hessian.diagonal] = damped
+        coupled = ~on_diagonal & free[rows] & free[cols]
+        every = np.arange(surfaces)
+        entries = (np.append(rows[coupled], every), np.append(cols[coupled], every))
+        matrix = csc_matrix((np.append(values[coupled], damped), entries), shape=(surfaces,) * 2)
         factor = splu(
-            csc_matrix((values, hessian.indices, hessian.indptr), shape=shape),
+            matrix,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -618,15 +592,17 @@ def cross_validate(
     sample count to 4x the cells per axis, keeping neighboring surfaces
     closer than a cell so the sampled family constrains every corridor
     of the grid.  Rungs and counts must be integers of at least 1, as
-    for :func:`discretize_family`, and every rung is checked before the
-    first solve.  With ``rng=None`` every rung samples cell midpoints,
-    which converge about three times more slowly than jittered samples
-    on curved families; pass a generator for jittered ladders.  Returns
-    one CrossValidationRow per rung; gaps are reported, not enforced.
+    for :func:`discretize_family`, ``tol`` and ``max_iters`` are checked
+    as by :func:`solve_discrete`, and all of them before the first solve.
+    With ``rng=None`` every rung samples cell midpoints, which converge
+    about three times more slowly than jittered samples on curved
+    families; pass a generator for jittered ladders.  Returns one
+    CrossValidationRow per rung; gaps are reported, not enforced.
     """
     expected = float(analytic)
     if not expected > 0.0:
         raise ValueError("the analytic modulus must be positive")
+    _check_limits(tol, max_iters)
     ladder = [_count(resolution, "grid resolution") for resolution in grid_ladder]
     rows = []
     for resolution in ladder:

@@ -139,8 +139,9 @@ def test_degenerate_jacobian_detected():
 
 
 def test_non_finite_integrand_detected():
-    # ratio (area/det)^q overflows while det stays above the floor
-    density = extremal_density(constant_jacobian_family([[1e-200, 0.0], [0.0, 1e20]]), 2.0, QUAD)
+    # l = area^q det^(1-q) = 1e320 overflows, not only the ratio
+    # (area/det)^q, while det stays above the floor
+    density = extremal_density(constant_jacobian_family([[1e-300, 0.0], [0.0, 1e20]]), 2.0, QUAD)
     with pytest.raises(NonFiniteIntegrand):
         density.l_value([0.5])
 
@@ -159,6 +160,28 @@ def test_extreme_single_column_area_factors(stretch):
     fam = constant_jacobian_family(np.diag([1.0, stretch]))
     report = modulus_p(fam, 2.0, QuadratureScheme(4, 1))
     assert report.modulus == pytest.approx(1.0 / stretch, rel=1e-12)
+
+
+@pytest.mark.parametrize("sx", [1e250, 1e-250])
+def test_representable_weight_survives_an_out_of_range_ratio(sx):
+    # condenser diag(sx, 1) at p = 3: area 1 and |det J| = sx, so
+    # (area/det)^q = sx^-1.5 under- or overflows while l = sx^-0.5 and
+    # the modulus |sx| are representable
+    fam = build_entry("condenser", {"sx": sx, "sy": 1.0}).family
+    assert modulus_p(fam, 3.0, QUAD).modulus == pytest.approx(sx, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sx, sy, p, message",
+    [
+        (1e250, 1.0, 1.5, "surface weight l"),  # l = 1e-500 underflows
+        (1.0, 1e-250, 3.0, "modulus integral"),  # l = 1e-250, but the modulus is 1e500
+    ],
+)
+def test_weight_or_modulus_out_of_range_still_raises(sx, sy, p, message):
+    fam = build_entry("condenser", {"sx": sx, "sy": sy}).family
+    with pytest.raises(NonFiniteIntegrand, match=message):
+        modulus_p(fam, p, QUAD)
 
 
 def test_non_finite_weight_names_the_first_bad_node():
@@ -331,6 +354,10 @@ def test_misshapen_points_raise_value_error():
             density.evaluate_param([0.5], [1.5, 1.2])
         with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
             density.l_value([0.5, 0.2])
+        # a (2, 2) array is not four one-parameter surfaces
+        for samples in ([[0.5, 0.6], [0.7, 0.8]], [0.5, 0.6], [[[0.5]]]):
+            with pytest.raises(ValueError, match=r"x_samples must have shape \(N, 1\)"):
+                admissibility_check(fam, density, QUAD, samples)
 
 
 def test_inversion_failure_outside_image():
