@@ -74,6 +74,9 @@ _FLOOR_PROBES = 5
 # l(x) values below this are numerically meaningless underflow.
 _L_FLOOR = 1e-300
 
+# The smallest normal float.
+_TINY = float(np.finfo(float).tiny)
+
 
 def conjugate_exponent(p: float) -> float:
     """Conjugate exponent q with 1/p + 1/q = 1.  Requires p > 1."""
@@ -112,17 +115,21 @@ def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
     return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
 
 
+def _abnormal(values):
+    """Mask of the entries that are not finite normal floats: 0, subnormal, inf or nan."""
+    return ~(values >= _TINY) | (values == np.inf)
+
+
 def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
     """Surface weights l(x) from the fields of the grid of ``x_nodes`` and ``y_nodes``."""
     # In place: a grid-sized temporary is the larger part of modulus_p's memory.
     with np.errstate(over="ignore"):
         values = fields.areas / fields.dets
         values **= q
+        # (A / J)^q can under- or overflow, or lose digits, where
+        # A^q J^(1-q) does not, so those entries are formed from logarithms.
+        redo = _abnormal(values)
         values *= fields.dets
-    l_vals = values @ y_weights
-    # (A / J)^q can under- or overflow where A^q J^(1-q) does not, so the
-    # rows that fail the checks are formed again from logarithms.
-    redo = ~(np.isfinite(l_vals) & (l_vals >= _L_FLOOR))
     if redo.any():
         with np.errstate(divide="ignore", over="ignore"):
             logs = q * np.log(fields.areas[redo]) + (1.0 - q) * np.log(fields.dets[redo])
@@ -132,8 +139,7 @@ def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
             NonFiniteIntegrand,
             lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
         )
-        l_vals = values @ y_weights
-    return _check_weights(l_vals, x_nodes, "surface weight l(x)")
+    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)")
 
 
 def _check_weights(l_vals, x_nodes, label):
@@ -147,11 +153,17 @@ def _check_weights(l_vals, x_nodes, label):
 
 def _density(fields, q, l_vals, x_nodes, y_nodes):
     """Extremal density (A / J)^(q-1) / l(x) on a grid of node fields."""
-    # In place, as in _weights_from_fields: one grid-sized array.
+    # In place, and from logarithms where the power is not a normal
+    # float, as in _weights_from_fields.
     with np.errstate(over="ignore"):
         values = fields.areas / fields.dets
         values **= q - 1.0
+        redo = _abnormal(values)
         values /= l_vals[:, None]
+    if redo.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            logs = (q - 1.0) * (np.log(fields.areas[redo]) - np.log(fields.dets[redo]))
+            values[redo] = np.exp(logs - np.log(l_vals[np.nonzero(redo)[0]]))
     _raise_first(
         ~np.isfinite(values),
         NonFiniteIntegrand,
@@ -317,7 +329,7 @@ class ExtremalDensity:
         self._seed_params = np.concatenate([x, y], axis=1)
         self._seed_images = _stacked_map(fam, x, y)
         span = self._seed_images.max(axis=0) - self._seed_images.min(axis=0)
-        self._diameter = float(np.linalg.norm(span))
+        self._diameter = float(np.hypot.reduce(span))
 
     def _invert(self, z):
         self._ensure_seeds()
@@ -328,10 +340,12 @@ class ExtremalDensity:
         inset = 1e-9 * (upper - lower)
         tol = 1e-10 * self._diameter
 
-        start = int(np.argmin(np.sum((self._seed_images - z) ** 2, axis=1)))
+        # Distances and norms by hypot, which does not overflow for images
+        # beyond about 1e154 as squares do.
+        start = int(np.argmin(np.hypot.reduce(self._seed_images - z, axis=1)))
         w = self._seed_params[start].copy()
         residual = evaluate_map(fam, w[:split], w[split:]) - z
-        norm = float(np.linalg.norm(residual))
+        norm = float(np.hypot.reduce(residual))
         for _ in range(50):
             if norm <= tol:
                 return w[:split].copy(), w[split:].copy()
@@ -346,7 +360,7 @@ class ExtremalDensity:
             for _ in range(30):
                 trial = np.clip(w + scale * step, lower + inset, upper - inset)
                 trial_residual = evaluate_map(fam, trial[:split], trial[split:]) - z
-                trial_norm = float(np.linalg.norm(trial_residual))
+                trial_norm = float(np.hypot.reduce(trial_residual))
                 if trial_norm < norm:
                     w, residual, norm = trial, trial_residual, trial_norm
                     break

@@ -4,21 +4,24 @@ The continuum modulus is the infimum of the p-energy over densities
 whose integral along every surface of the family is at least one.  This
 module discretizes that program directly, with no reference to the
 reduction formula: the swept region is covered by a uniform grid of
-cells, each surface becomes a row of cell weights (how much surface
-measure it deposits in each cell), and the resulting finite convex
-program
+cells, each surface becomes a row of the weight matrix A (how much
+surface measure it deposits in each cell), and the resulting finite
+convex program
 
     minimize   sum_c volume_c * density_c^p
     subject to sum_c weight_sc * density_c >= 1   for every surface s,
                density >= 0
 
 is solved through its smooth concave dual followed by a feasibility
-rescaling.  Each projected Newton step on the dual forms its Hessian by
-one sparse product, A diag(curvature) A^T, in memory of order
-nnz(A A^T).  The two routes share the family and the node-field kernel
-(|det J| and the area factors of :func:`surfmod.family.node_fields`,
-checked in ``tests/test_kernel.py`` against ``np.linalg.det`` and a sum
-over minors), but not l(x), the quadrature or the closed form, so their
+rescaling.  A is stored once, as one read-only compressed sparse row
+(CSR) matrix, from :func:`discretize_family` through the solve;
+``DiscreteModulusProblem.surfaces`` views its rows.  Each projected
+Newton step on the dual forms its Hessian by one sparse product,
+A diag(curvature) A^T, in memory of order nnz(A A^T).  The two routes
+share the family and the node-field kernel (|det J| and the area
+factors of :func:`surfmod.family.node_fields`, checked in
+``tests/test_kernel.py`` against ``np.linalg.det`` and a sum over
+minors), but not l(x), the quadrature or the closed form, so their
 agreement is evidence that the reduction is implemented correctly.
 
 The cell volumes are pushforward volumes: the sum of |det J| times the
@@ -35,6 +38,7 @@ needs a separate guard.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -69,66 +73,31 @@ _BACKTRACKS = 60
 _EPS = float(np.finfo(float).eps)
 
 
-def _check_limits(tol, max_iters) -> None:
-    """Reject a ``tol`` that is not finite and > 0, and a ``max_iters``
-    that is not an integer >= 0 or is a bool."""
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
-    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _compressed_rows(surfaces, cells: int) -> tuple:
-    """(data, indices, indptr) of the (cell_indices, weights) pairs.
-
-    Raises the ValueError of the first kind of fault found, checked over
-    all surfaces in the order shape, cell range, finite nonnegative sign.
-    The arrays are read-only and of the index type scipy.sparse picks for
-    their sizes, so a matrix built on them shares them, not converts them.
-    """
-    pairs = []
-    for idx, w in surfaces:
-        idx, w = np.asarray(idx, dtype=int), np.asarray(w, dtype=float)
-        if idx.shape != w.shape or idx.ndim != 1:
-            raise ValueError("each surface needs matching index and weight arrays")
-        pairs.append((idx, w))
-    indices = np.concatenate([np.zeros(0, dtype=int)] + [i for i, _ in pairs])
-    data = np.concatenate([np.zeros(0)] + [w for _, w in pairs])
-    indptr = np.cumsum([0] + [i.size for i, _ in pairs])
-    if np.any((indices < 0) | (indices >= cells)):
-        raise ValueError("surface refers to a cell outside the grid")
-    if not (np.isfinite(data) & (data >= 0.0)).all():
-        raise ValueError("surface weights must be finite and nonnegative")
-    fits = max(cells, data.size) <= np.iinfo(np.int32).max
-    index_type = np.int32 if fits else np.int64
-    csr = (data, indices.astype(index_type), indptr.astype(index_type))
-    for array in csr:
-        array.setflags(write=False)
-    return csr
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteModulusProblem:
-    """Cell grid plus per-surface cell weights for the discrete program.
+    """Cell grid plus the surface-by-cell weight matrix of the discrete program.
 
-    ``surfaces`` is a tuple of (cell_indices, weights) pairs, one per
-    surface, referring to rows of ``centers``.  The pairs are read-only
-    views into one compressed sparse row (CSR) copy of the weights, which
-    :meth:`constraint_matrix` wraps without copying.  Their cell indices
-    are int32 unless the grid or the weight count needs int64, the index
-    type scipy.sparse would pick.
+    ``weights`` is anything ``scipy.sparse.csr_matrix`` converts to shape
+    (surfaces, cells), such as a sparse matrix or a dense 2-d array.  The
+    problem keeps its own CSR copy with read-only arrays, whose index type
+    is the one scipy.sparse picks (int32 unless the sizes need int64), and
+    ``surfaces`` views its rows as (cell_indices, weights) pairs.  Weights
+    with the wrong column count, a cell outside the grid, or an entry that
+    is not finite and nonnegative raise ValueError, checked in that order.
     """
 
     p: float
     centers: np.ndarray
     volumes: np.ndarray
-    surfaces: tuple
+    weights: "scipy.sparse.csr_matrix"
 
     def __post_init__(self):
+        import scipy.sparse
+
         conjugate_exponent(self.p)
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         volumes = np.asarray(self.volumes, dtype=float)
@@ -138,15 +107,32 @@ class DiscreteModulusProblem:
             raise ValueError("cell volumes must be finite and positive")
         if not np.isfinite(centers).all():
             raise ValueError("cell centers must be finite")
+        given = scipy.sparse.csr_matrix(self.weights, dtype=float)
+        if given.shape[1] != len(volumes):
+            raise ValueError(f"the weights have {given.shape[1]} columns for {len(volumes)} cells")
+        # Rebuilt from its arrays, so scipy picks the index type anew.
+        weights = scipy.sparse.csr_matrix(
+            (given.data, given.indices, given.indptr), shape=given.shape, copy=True
+        )
+        # scipy does not check the column indices of given arrays.
+        if np.any((weights.indices < 0) | (weights.indices >= len(volumes))):
+            raise ValueError("surface refers to a cell outside the grid")
+        if not (np.isfinite(weights.data) & (weights.data >= 0.0)).all():
+            raise ValueError("surface weights must be finite and nonnegative")
+        for array in (weights.data, weights.indices, weights.indptr):
+            array.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "volumes", volumes)
-        data, indices, indptr = _compressed_rows(self.surfaces, len(volumes))
-        bounds = indptr.tolist()
-        surfaces = tuple(
-            (indices[a:b], data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
+        object.__setattr__(self, "weights", weights)
+
+    @functools.cached_property
+    def surfaces(self) -> tuple:
+        """One (cell_indices, weights) pair of read-only views per row of the weights."""
+        a = self.weights
+        bounds = a.indptr.tolist()
+        return tuple(
+            (a.indices[i:j], a.data[i:j]) for i, j in zip(bounds[:-1], bounds[1:])
         )
-        object.__setattr__(self, "_csr", (data, indices, indptr))
-        object.__setattr__(self, "surfaces", surfaces)
 
     @property
     def cell_count(self) -> int:
@@ -154,16 +140,11 @@ class DiscreteModulusProblem:
 
     @property
     def surface_count(self) -> int:
-        return len(self.surfaces)
+        return self.weights.shape[0]
 
     def constraint_matrix(self) -> "scipy.sparse.csr_matrix":
-        """Sparse surface-by-cell weight matrix, sharing the problem's arrays."""
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix(
-            self._csr,
-            shape=(self.surface_count, self.cell_count),
-        )
+        """The surface-by-cell weight matrix, the problem's own read-only copy."""
+        return self.weights
 
     def to_text(self) -> str:
         """Plain-text serialization: one line per cell (center coordinates
@@ -191,6 +172,8 @@ class DiscreteModulusProblem:
 
     @classmethod
     def from_text(cls, text: str) -> "DiscreteModulusProblem":
+        import scipy.sparse
+
         lines = text.splitlines()
         try:
             if lines[0].strip() != _TEXT_HEADER:
@@ -208,16 +191,18 @@ class DiscreteModulusProblem:
                 volumes[i] = parts[dim]
             cursor = 4 + n_cells
             n_surfaces = int(cls._labeled(lines[cursor], "surfaces"))
-            surfaces = []
+            pairs, indptr = [], [0]
             for i in range(n_surfaces):
-                line = lines[cursor + 1 + i].strip()
-                pairs = [tok.split(":") for tok in line.split()] if line else []
-                idx = np.array([int(a) for a, _ in pairs], dtype=int)
-                w = np.array([float(b) for _, b in pairs], dtype=float)
-                surfaces.append((idx, w))
+                pairs += [tok.split(":") for tok in lines[cursor + 1 + i].split()]
+                indptr.append(len(pairs))
+            indices = np.array([int(a) for a, _ in pairs], dtype=int)
+            data = np.array([float(b) for _, b in pairs], dtype=float)
         except (IndexError, ValueError) as exc:
             raise ValueError(f"malformed discrete-problem text: {exc}") from exc
-        return cls(p=p, centers=centers, volumes=volumes, surfaces=tuple(surfaces))
+        weights = scipy.sparse.csr_matrix(
+            (data, indices, np.array(indptr)), shape=(n_surfaces, n_cells)
+        )
+        return cls(p=p, centers=centers, volumes=volumes, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +274,8 @@ def discretize_family(
         If a cell holds surface weight but |det J| vanishes at every
         sample in it, so that its volume is zero.
     """
+    import scipy.sparse
+
     conjugate_exponent(p)
     cells_per_axis = _count(cells_per_axis, "cells_per_axis")
     surfaces_count = _count(surfaces_count, "surfaces_count")
@@ -370,14 +357,9 @@ def discretize_family(
         )
     grid_index = np.stack(np.unravel_index(kept, (cells_per_axis,) * fam.n), axis=-1)
     centers = box_lo + cell_widths * (grid_index + 0.5)
-    bounds = np.cumsum(np.concatenate([[0]] + counts)).tolist()
-    surfaces = tuple(
-        (remapped[a:b], weights[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-    )
-
-    return DiscreteModulusProblem(
-        p=float(p), centers=centers, volumes=volumes[kept], surfaces=surfaces
-    )
+    indptr = np.cumsum(np.concatenate([[0]] + counts))
+    matrix = scipy.sparse.csr_matrix((weights, remapped, indptr), shape=(len(x_values), kept.size))
+    return DiscreteModulusProblem(p=float(p), centers=centers, volumes=volumes[kept], weights=matrix)
 
 
 def solve_discrete(
@@ -425,7 +407,10 @@ def solve_discrete(
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
 
-    _check_limits(tol, max_iters)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     p = problem.p
     q = conjugate_exponent(p)
     if problem.surface_count == 0:
@@ -451,7 +436,7 @@ def solve_discrete(
     a = csr_matrix((np.ldexp(a.data, -weight_exp), a.indices, a.indptr), shape=a.shape)
     volumes = np.ldexp(problem.volumes, -volume_exp)
     energy_scale = float(np.exp2(volume_exp - p * weight_exp))
-    a_t = a.T  # built once: each a.T makes a new sparse wrapper
+    a_t = a.T.tocsr()  # converted once, not by every product with it
     exponent = 1.0 / (p - 1.0)
     surfaces = problem.surface_count
 
@@ -582,8 +567,6 @@ def cross_validate(
     surfaces_count: int | None = None,
     samples_per_surface: int | None = None,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-6,
-    max_iters: int = 20000,
 ) -> list:
     """Discrete moduli along a ladder of grid resolutions.
 
@@ -592,8 +575,9 @@ def cross_validate(
     sample count to 4x the cells per axis, keeping neighboring surfaces
     closer than a cell so the sampled family constrains every corridor
     of the grid.  Rungs and counts must be integers of at least 1, as
-    for :func:`discretize_family`, ``tol`` and ``max_iters`` are checked
-    as by :func:`solve_discrete`, and all of them before the first solve.
+    for :func:`discretize_family`, and all of them are checked before the
+    first solve.  Each rung is solved to a relative duality gap of 1e-6
+    within 20000 iterations.
     With ``rng=None`` every rung samples cell midpoints, which converge
     about three times more slowly than jittered samples on curved
     families; pass a generator for jittered ladders.  Returns one
@@ -602,14 +586,13 @@ def cross_validate(
     expected = float(analytic)
     if not expected > 0.0:
         raise ValueError("the analytic modulus must be positive")
-    _check_limits(tol, max_iters)
     ladder = [_count(resolution, "grid resolution") for resolution in grid_ladder]
     rows = []
     for resolution in ladder:
         surfaces = 3 * resolution if surfaces_count is None else surfaces_count
         samples = 4 * resolution if samples_per_surface is None else samples_per_surface
         problem = discretize_family(fam, p, resolution, surfaces, samples, rng=rng)
-        solution = solve_discrete(problem, tol=tol, max_iters=max_iters)
+        solution = solve_discrete(problem, tol=1e-6, max_iters=20000)
         gap = abs(solution.objective - expected) / expected
         rows.append(
             CrossValidationRow(

@@ -216,12 +216,12 @@ def test_criterion_08_extremality():
     )
 
 
-def replace_surfaces(problem, surfaces):
+def replace_weights(problem, weights):
     return DiscreteModulusProblem(
         p=problem.p,
         centers=problem.centers,
         volumes=problem.volumes,
-        surfaces=surfaces,
+        weights=weights,
     )
 
 
@@ -232,16 +232,16 @@ def criterion_09_problems():
         cells = int(rng.integers(4, 12))
         p = float(rng.uniform(1.3, 3.5))
         volumes = rng.uniform(0.2, 1.5, size=cells)
-        surfaces = []
-        for _ in range(int(rng.integers(2, 5))):
+        weights = np.zeros((int(rng.integers(2, 5)), cells))
+        for row in weights:
             count = int(rng.integers(2, cells + 1))
             idx = np.sort(rng.choice(cells, size=count, replace=False))
-            surfaces.append((idx, rng.uniform(0.2, 1.0, size=count)))
+            row[idx] = rng.uniform(0.2, 1.0, size=count)
         problem = DiscreteModulusProblem(
             p=p,
             centers=rng.uniform(size=(cells, 1)),
             volumes=volumes,
-            surfaces=tuple(surfaces),
+            weights=weights,
         )
         yield problem, float(rng.uniform(0.5, 2.0))
 
@@ -260,7 +260,7 @@ def test_criterion_09_discrete_oracle():
     )
     for name, entry in cases:
         rows = cross_validate(
-            entry.family, 2.0, entry.expected_modulus(2.0), ladder, max_iters=20000
+            entry.family, 2.0, entry.expected_modulus(2.0), ladder
         )
         finals[name] = rows[-1].relative_gap
 
@@ -271,13 +271,11 @@ def test_criterion_09_discrete_oracle():
         # forgives; both solves at tol 1e-8 leave it a tenfold margin.
         full = solve_discrete(problem, tol=1e-8).objective
         partial = solve_discrete(
-            replace_surfaces(problem, problem.surfaces[:1]), tol=1e-8
+            replace_weights(problem, problem.weights[:1]), tol=1e-8
         ).objective
         worst_monotone = max(worst_monotone, (partial - full) / full)
         scaled = solve_discrete(
-            replace_surfaces(
-                problem, tuple((idx, factor * w) for idx, w in problem.surfaces)
-            )
+            replace_weights(problem, factor * problem.weights)
         ).objective
         expected = full * factor**-problem.p
         worst_scaling = max(worst_scaling, abs(scaled - expected) / expected)

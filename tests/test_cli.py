@@ -164,6 +164,17 @@ def test_verify_skips_missing_submersion(capsys):
     assert "PASS admissibility" in captured
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_condenser_with_powers_out_of_the_normal_range(capsys):
+    # (area/det)^(q-1) = 1e-400 underflowed to 0: admissibility read 0 and
+    # the extremality probe divided by it
+    args = ["--sx", "1e200", "--sy", "1e100", "--p", "1.5", "--trials", "5"]
+    code = cli.main(["verify", "--family", "condenser"] + args)
+    captured = capsys.readouterr().out
+    assert code == 0
+    assert "PASS admissibility" in captured and "PASS extremality" in captured
+
+
 @pytest.mark.parametrize("family", ["annulus-radial", "condenser"])
 def test_verify_csv(tmp_path, family):
     # annulus-radial has a submersion; the condenser skips coarea and route-equivalence

@@ -171,6 +171,36 @@ def test_representable_weight_survives_an_out_of_range_ratio(sx):
     assert modulus_p(fam, 3.0, QUAD).modulus == pytest.approx(sx, rel=1e-12)
 
 
+def test_subnormal_weight_power_keeps_its_digits():
+    # condenser diag(1e160, 1) at p = 2: (area/det)^2 = 1e-320 is subnormal,
+    # which read 1.0000111e160 for the modulus where the closed form is 1e160
+    fam = build_entry("condenser", {"sx": 1e160, "sy": 1.0}).family
+    assert modulus_p(fam, 2.0, QuadratureScheme(4, 1)).modulus == pytest.approx(1e160, rel=1e-13)
+
+
+def test_density_survives_an_underflowing_power():
+    # condenser diag(1e200, 1e100) at p = 1.5: (area/det)^(q-1) = 1e-400
+    # underflows to 0, while l = 1e-300 and the density 1e-100 do not
+    fam = build_entry("condenser", {"sx": 1e200, "sy": 1e100}).family
+    quad = QuadratureScheme(4, 1)
+    density = extremal_density(fam, 1.5, quad)
+    assert density.evaluate_param([0.5], [0.5]) == pytest.approx(1e-100, rel=1e-12)
+    # every unit surface meets the extremal density with integral one
+    for _, integral in admissibility_check(fam, density, quad, fam.param_box.grid(3)):
+        assert integral == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("sx, sy", [(1e160, 1.0), (1e200, 1e100)])
+def test_inversion_of_images_beyond_the_square_root_of_the_largest_float(sx, sy):
+    # squared seed distances and the squared diameter overflowed to inf, so
+    # the tolerance was inf and the first seed came back as the inverse
+    fam = build_entry("condenser", {"sx": sx, "sy": sy}).family
+    density = extremal_density(fam, 2.0, QuadratureScheme(4, 1))
+    z = evaluate_map(fam, np.array([0.3]), np.array([0.7]))
+    x, y = density._invert(z)
+    np.testing.assert_allclose(np.concatenate([x, y]), [0.3, 0.7], rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "sx, sy, p, message",
     [
