@@ -7,7 +7,7 @@ sampled surface.  Each cell's volume is the pushforward volume of the
 samples in it.  On the curved annulus family refining the grid walks the
 discrete value down onto the analytic one; on the affine parallel family
 every rung already lands on it.  The solver also certifies itself with
-a duality gap, and problems round trip through a plain text format.
+a duality gap.
 
 Run:  python3 demos/discrete_ladder.py
 """
@@ -15,7 +15,6 @@ Run:  python3 demos/discrete_ladder.py
 import numpy as np
 
 from surfmod import (
-    DiscreteModulusProblem,
     cross_validate,
     discretize_family,
     make_parallel,
@@ -50,9 +49,3 @@ print(f"  certified lower bnd {solution.lower_bound:.9f}")
 gap = (solution.objective - solution.lower_bound) / solution.objective
 print(f"  duality gap         {gap:.2e}")
 print(f"  solver iterations   {solution.iterations}")
-print()
-
-text = problem.to_text()
-reread = DiscreteModulusProblem.from_text(text)
-print(f"text round trip: {len(text.splitlines())} lines, "
-      f"byte-identical = {reread.to_text() == text}")

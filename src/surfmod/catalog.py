@@ -27,7 +27,7 @@ from .family import (
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
 from .linalg import companion_block
-from .modulus import conjugate_exponent, modulus_p
+from .modulus import _TINY, conjugate_exponent, modulus_p
 from .quadrature import QuadratureScheme
 
 __all__ = [
@@ -142,7 +142,12 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
 
     def expected_modulus(e):
         _, _, l_val = weight(e)
-        return u.volume * l_val ** (1.0 - e)
+        with np.errstate(over="ignore"):
+            power = l_val ** (1.0 - e)
+            if not _TINY <= power < np.inf:
+                # From logarithms where the power leaves the normal range.
+                return np.exp(np.log(u.volume) + (1.0 - e) * np.log(l_val))
+        return u.volume * power
 
     def expected_density(e):
         ratio, q, l_val = weight(e)

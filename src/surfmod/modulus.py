@@ -19,6 +19,9 @@ admissible competitor can have smaller p-energy.
 
 An alternative route starts from a submersion whose level sets are the
 surfaces; both are implemented and cross-checked.
+
+The surface weight, the density, the level-set weight and the outer
+integral are formed from logarithms where a power leaves the normal range.
 """
 
 from __future__ import annotations
@@ -115,31 +118,52 @@ def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
     return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
 
 
-def _abnormal(values):
-    """Mask of the entries that are not finite normal floats: 0, subnormal, inf or nan."""
-    return ~(values >= _TINY) | (values == np.inf)
+def _power(num, den, e, factor=None, divisor=None):
+    """(num / den)^e elementwise, times ``factor`` or over ``divisor``.
+
+    Entries whose power is not a finite normal float (0, subnormal or
+    inf), or for e > 0 whose ratio is subnormal, are formed from
+    logarithms instead, so an entry under- or overflows only where the
+    result does.  The arguments broadcast to one shape, and the work is
+    done in place in one array of it: a grid-sized temporary is the
+    larger part of modulus_p's memory.
+    """
+    # For 0 < e < 1 a subnormal ratio, which has lost digits, can have a
+    # normal power; it is the one below _TINY^e.
+    low = _TINY ** min(e, 1.0) if e > 0 else _TINY
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = num / den
+        values **= e
+        redo = ~(values >= low) | (values == np.inf)
+        if factor is not None:
+            values *= factor
+        if divisor is not None:
+            values /= divisor
+        if redo.any():
+
+            def log(array):
+                return np.log(np.broadcast_to(array, redo.shape)[redo])
+
+            logs = e * (log(num) - log(den))
+            if factor is not None:
+                logs += log(factor)
+            if divisor is not None:
+                logs -= log(divisor)
+            values[redo] = np.exp(logs)
+    return values
 
 
 def _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights):
     """Surface weights l(x) from the fields of the grid of ``x_nodes`` and ``y_nodes``."""
-    # In place: a grid-sized temporary is the larger part of modulus_p's memory.
-    with np.errstate(over="ignore"):
-        values = fields.areas / fields.dets
-        values **= q
-        # (A / J)^q can under- or overflow, or lose digits, where
-        # A^q J^(1-q) does not, so those entries are formed from logarithms.
-        redo = _abnormal(values)
-        values *= fields.dets
-    if redo.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            logs = q * np.log(fields.areas[redo]) + (1.0 - q) * np.log(fields.dets[redo])
-            values[redo] = np.exp(logs)
+    values = _power(fields.areas, fields.dets, q, factor=fields.dets)
+    l_vals = values @ y_weights
+    if not np.isfinite(l_vals).all():
         _raise_first(
             ~np.isfinite(values),
             NonFiniteIntegrand,
             lambda i, j: f"surface-weight integrand is non-finite at x={x_nodes[i]}, y={y_nodes[j]}",
         )
-    return _check_weights(values @ y_weights, x_nodes, "surface weight l(x)")
+    return _check_weights(l_vals, x_nodes, "surface weight l(x)")
 
 
 def _check_weights(l_vals, x_nodes, label):
@@ -153,17 +177,7 @@ def _check_weights(l_vals, x_nodes, label):
 
 def _density(fields, q, l_vals, x_nodes, y_nodes):
     """Extremal density (A / J)^(q-1) / l(x) on a grid of node fields."""
-    # In place, and from logarithms where the power is not a normal
-    # float, as in _weights_from_fields.
-    with np.errstate(over="ignore"):
-        values = fields.areas / fields.dets
-        values **= q - 1.0
-        redo = _abnormal(values)
-        values /= l_vals[:, None]
-    if redo.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            logs = (q - 1.0) * (np.log(fields.areas[redo]) - np.log(fields.dets[redo]))
-            values[redo] = np.exp(logs - np.log(l_vals[np.nonzero(redo)[0]]))
+    values = _power(fields.areas, fields.dets, q - 1.0, divisor=l_vals[:, None])
     _raise_first(
         ~np.isfinite(values),
         NonFiniteIntegrand,
@@ -174,8 +188,7 @@ def _density(fields, q, l_vals, x_nodes, y_nodes):
 
 def _outer_integral(x_weights, l_vals, p) -> float:
     """The modulus: integral of l(x)^(1-p) over the outer nodes."""
-    with np.errstate(over="ignore"):
-        modulus = float(x_weights @ l_vals ** (1.0 - p))
+    modulus = float(_power(l_vals, 1.0, 1.0 - p, factor=x_weights).sum())
     if not np.isfinite(modulus):
         raise NonFiniteIntegrand("modulus integral is non-finite")
     return modulus
@@ -464,7 +477,7 @@ def submersion_modulus(
         DegenerateJacobian,
         lambda i, j: f"submersion differential is rank-deficient at z={fields.images[i, j]}",
     )
-    level = (fields.gradients ** (q - 1.0) * fields.areas) @ y_weights
+    level = _power(fields.gradients, 1.0, q - 1.0, factor=fields.areas) @ y_weights
     _check_weights(level, x_nodes, "level-set weight")
     return _report(p, q, x_nodes, x_weights, level, fields.dets)
 

@@ -60,8 +60,6 @@ __all__ = [
     "cross_validate",
 ]
 
-_TEXT_HEADER = "surfmod-discrete-problem 1"
-
 # Samples per block in discretize_family; bounds its temporaries.
 _SAMPLE_BLOCK = 1 << 13
 
@@ -71,10 +69,6 @@ _DAMPING = 1e-2
 _ARMIJO = 1e-4
 _BACKTRACKS = 60
 _EPS = float(np.finfo(float).eps)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,64 +139,6 @@ class DiscreteModulusProblem:
     def constraint_matrix(self) -> "scipy.sparse.csr_matrix":
         """The surface-by-cell weight matrix, the problem's own read-only copy."""
         return self.weights
-
-    def to_text(self) -> str:
-        """Plain-text serialization: one line per cell (center coordinates
-        then volume) and one line per surface (index:weight pairs)."""
-        lines = [
-            _TEXT_HEADER,
-            f"p {_fmt(self.p)}",
-            f"dim {self.centers.shape[1]}",
-            f"cells {self.cell_count}",
-        ]
-        for center, volume in zip(self.centers, self.volumes):
-            coords = " ".join(_fmt(c) for c in center)
-            lines.append(f"{coords} {_fmt(volume)}")
-        lines.append(f"surfaces {self.surface_count}")
-        for idx, w in self.surfaces:
-            lines.append(" ".join(f"{i}:{_fmt(x)}" for i, x in zip(idx, w)))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _labeled(line: str, label: str) -> str:
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != label:
-            raise ValueError(f"expected '{label} <value>', got {line!r}")
-        return parts[1]
-
-    @classmethod
-    def from_text(cls, text: str) -> "DiscreteModulusProblem":
-        import scipy.sparse
-
-        lines = text.splitlines()
-        try:
-            if lines[0].strip() != _TEXT_HEADER:
-                raise ValueError(f"unrecognized header {lines[0]!r}")
-            p = float(cls._labeled(lines[1], "p"))
-            dim = int(cls._labeled(lines[2], "dim"))
-            n_cells = int(cls._labeled(lines[3], "cells"))
-            centers = np.empty((n_cells, dim))
-            volumes = np.empty(n_cells)
-            for i in range(n_cells):
-                parts = [float(tok) for tok in lines[4 + i].split()]
-                if len(parts) != dim + 1:
-                    raise ValueError(f"cell line {i} has {len(parts)} fields")
-                centers[i] = parts[:dim]
-                volumes[i] = parts[dim]
-            cursor = 4 + n_cells
-            n_surfaces = int(cls._labeled(lines[cursor], "surfaces"))
-            pairs, indptr = [], [0]
-            for i in range(n_surfaces):
-                pairs += [tok.split(":") for tok in lines[cursor + 1 + i].split()]
-                indptr.append(len(pairs))
-            indices = np.array([int(a) for a, _ in pairs], dtype=int)
-            data = np.array([float(b) for _, b in pairs], dtype=float)
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"malformed discrete-problem text: {exc}") from exc
-        weights = scipy.sparse.csr_matrix(
-            (data, indices, np.array(indptr)), shape=(n_surfaces, n_cells)
-        )
-        return cls(p=p, centers=centers, volumes=volumes, weights=weights)
 
 
 @dataclass(frozen=True, eq=False)

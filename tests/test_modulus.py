@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,13 +42,14 @@ QUAD = QuadratureScheme(order=10, subdivisions=3)
 
 
 def constant_jacobian_family(matrix):
+    """The linear family of an n x n matrix on unit boxes, with m = 1."""
     matrix = np.asarray(matrix, dtype=float)
-    box = BoxDomain([0.0], [1.0])
+    n = len(matrix)
     return ParametrizedFamily(
-        n=2,
+        n=n,
         m=1,
-        param_box=box,
-        surface_box=box,
+        param_box=BoxDomain([0.0] * (n - 1), [1.0] * (n - 1)),
+        surface_box=BoxDomain([0.0], [1.0]),
         map=lambda x, y: np.concatenate([x, y], -1) @ matrix.T,
         jacobian=lambda x, y: np.broadcast_to(matrix, x.shape[:-1] + matrix.shape),
     )
@@ -152,14 +154,46 @@ def test_underflowing_weight_detected():
         modulus_p(fam, 2.0, QUAD)
 
 
-@pytest.mark.parametrize("stretch", [1e160, 1e-160])
-def test_extreme_single_column_area_factors(stretch):
-    # area factor and |det J| both equal the stretch, so l = stretch and
-    # the modulus at p = 2 is 1 / stretch; squaring the column over- or
-    # underflows
-    fam = constant_jacobian_family(np.diag([1.0, stretch]))
-    report = modulus_p(fam, 2.0, QuadratureScheme(4, 1))
-    assert report.modulus == pytest.approx(1.0 / stretch, rel=1e-12)
+@pytest.mark.parametrize(
+    "sx, sy, p, expected",
+    [
+        # area factor and |det J| both equal sy, so l = sy and the modulus
+        # at p = 2 is 1 / sy; squaring the column over- or underflows
+        (1.0, 1e160, 2.0, 1e-160),
+        (1.0, 1e-160, 2.0, 1e160),
+        # q = 4.5: (A/J)^q = 1e450 and the level-set weight's
+        # G^(q-1) = 1e350 overflow, while l = 1e200 and the modulus
+        # l^(-2/7) do not
+        (1e-100, 1e-150, 9 / 7, 7.196856730011417e-58),
+    ],
+    ids=["1e+160", "1e-160", "1e-100,1e-150"],
+)
+def test_extreme_single_column_area_factors(sx, sy, p, expected):
+    # diag(sx, sy) with the submersion z -> z_0 / sx, on both routes
+    fam = constant_jacobian_family(np.diag([sx, sy]))
+    row = np.array([[1.0 / sx, 0.0]])
+    sub = Submersion(
+        n=2, k=1, map=lambda z: z @ row.T, jacobian=lambda z: np.broadcast_to(row, z.shape[:-1] + (1, 2))
+    )
+    quad = QuadratureScheme(4, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for report in (modulus_p(fam, p, quad), submersion_modulus(sub, fam, p, quad)):
+            assert report.modulus == pytest.approx(expected, rel=1e-12)
+
+
+def test_modulus_of_a_tiny_box_beyond_the_largest_float_power():
+    # l = vol(V) = 1e-200, so l^(1-p) = 1e400 overflows at p = 3, while
+    # the modulus vol(U) * l^(1-p) = 1e100 does not
+    entry = make_parallel([(0.0, 1e-300)], [(0.0, 1e-200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for report in (
+            modulus_p(entry.family, 3.0, QUAD),
+            submersion_modulus(entry.submersion, entry.family, 3.0, QUAD),
+        ):
+            assert report.modulus == pytest.approx(1e100, rel=1e-12)
+        assert entry.expected_modulus(3.0) == pytest.approx(1e100, rel=1e-12)
 
 
 @pytest.mark.parametrize("sx", [1e250, 1e-250])
@@ -188,6 +222,15 @@ def test_density_survives_an_underflowing_power():
     # every unit surface meets the extremal density with integral one
     for _, integral in admissibility_check(fam, density, quad, fam.param_box.grid(3)):
         assert integral == pytest.approx(1.0, rel=1e-12)
+
+
+def test_density_keeps_the_digits_of_a_subnormal_ratio():
+    # diag(1e160, 1e160, 1e-20) at p = 3: A/J = 1e-320 is subnormal while
+    # its power (A/J)^(q-1) = 1e-160 is normal; with l = 1e-180 the
+    # density is 1e20, which read 9.99994e19 from the subnormal ratio
+    fam = constant_jacobian_family(np.diag([1e160, 1e160, 1e-20]))
+    density = extremal_density(fam, 3.0, QuadratureScheme(3, 1))
+    assert density.evaluate_param([0.5, 0.5], [0.5]) == pytest.approx(1e20, rel=1e-12)
 
 
 @pytest.mark.parametrize("sx, sy", [(1e160, 1.0), (1e200, 1e100)])
