@@ -19,14 +19,17 @@ from .errors import ConfigError
 from .family import (
     AmbientMap,
     BoxDomain,
+    NodeFields,
     ParametrizedFamily,
     Submersion,
+    _check_key_relation,
     _paired,
     _probe_key_relation,
+    _probes,
     compose,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
-from .linalg import companion_block
+from .linalg import _stacked_abs_det, companion_block, stacked_norm
 from .modulus import _TINY, conjugate_exponent, modulus_p
 from .quadrature import QuadratureScheme
 
@@ -105,7 +108,11 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
     """The linear family w -> L w on U x V, with its closed form.
 
     The submersion is z -> B z, with B the companion block of L
-    (B L = (I | 0)), so its level sets are the family's surfaces.  With
+    (B L = (I | 0)), so its level sets are the family's surfaces.  L is
+    the Jacobian at every node and B the submersion's derivative, so the
+    key relation |L_y| = |det L| * |B| is checked once, on L and B, with
+    the node kernel's own norms; its residual is the one a probe would
+    find at each of its nodes.  With
     L_y the last m columns of L, A = sqrt(det(L_y^T L_y)) and J = |det L|,
     every surface weighs l = vol(V) * A^q * J^(1-q), hence
 
@@ -130,7 +137,10 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
         jacobian=_paired(_constant(L)),
     )
     sub = Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
-    _probe_key_relation(family, sub, _PROBE_TOL, f"catalog entry {name!r}")
+    dets, areas = _stacked_abs_det(L[None]), stacked_norm(L[None, :, k:])
+    fields = NodeFields(dets, areas, gradients=stacked_norm(b[None]))
+    # A vanishing area factor is named at the first probe node.
+    _check_key_relation(fields, _probes(u)[:1], _probes(v)[:1], _PROBE_TOL, f"catalog entry {name!r}")
 
     # numpy's det, not the node kernel, keeps the closed form independent
     # of the code it checks; evaluated per call, not at build time.

@@ -12,6 +12,7 @@ together with the generalized norm of the y-block.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -215,13 +216,24 @@ def _evaluate(fn, args: tuple, shape: tuple, label: str, names="xy"):
     out = np.asarray(fn(*args), dtype=float)
     if out.shape != (count,) + shape:
         raise EvaluationFailure(f"{label} returned shape {out.shape}, expected {(count,) + shape}")
-    # One whole-array reduction; the per-row mask only when it fails.
-    if not np.isfinite(out).all():
+    # One whole-array reduction, over the first row alone when a stride of
+    # 0 repeats it; the per-row mask only when it fails.
+    if not np.isfinite(out[:1] if out.strides[0] == 0 else out).all():
         bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
         i = int(np.argmax(bad))
         where = ", ".join(f"{name}={arg[i]}" for name, arg in zip(names, args))
         raise EvaluationFailure(f"{label} returned non-finite values at {where}")
     return out
+
+
+def _once(fn, stack) -> np.ndarray:
+    """``fn`` of a stack of matrices; of its first matrix alone, repeated,
+    when a stride of 0 on the batch axis repeats that one, as
+    ``np.broadcast_to`` of one matrix gives (the value is the same bit for
+    bit)."""
+    if len(stack) > 1 and stack.strides[0] == 0:
+        return np.repeat(fn(stack[:1]), len(stack))
+    return fn(stack)
 
 
 def _stacked_map(fam: ParametrizedFamily, x, y) -> np.ndarray:
@@ -355,7 +367,13 @@ def node_fields(
     the family and the submersion are called once per batch.  |det J|
     takes the closed form for n <= 3 and an LU factorization otherwise;
     the area factor is a column norm when m = 1 and the product of the
-    diagonal of a stacked QR factor otherwise.
+    diagonal of a stacked QR factor otherwise.  A Jacobian returned as one
+    matrix broadcast over the batch (``np.broadcast_to``, stride 0 on the
+    batch axis, as the catalog's linear entries return theirs) has |det J|
+    and the area factor taken once from that matrix and repeated, and its
+    finiteness checked on it alone; a submersion's derivative returned so
+    has its gradient norm taken once too.  The values are bit for bit
+    those of the matrix's copies.
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node by its x and y: misshapen or
@@ -399,7 +417,7 @@ def _paired_fields(fam, x, y, floor, images, submersion) -> NodeFields:
     """:func:`node_fields` on one batch of paired nodes (x[i], y[i])."""
     k = fam.n - fam.m
     jac = _jacobian_columns(fam, x, y)
-    dets = _stacked_abs_det(jac)
+    dets = _once(_stacked_abs_det, jac)
     if not np.isfinite(dets).all():
         i = int(np.argmax(~np.isfinite(dets)))
         raise NonFiniteIntegrand(f"|det J| = {dets[i]} at x={x[i]}, y={y[i]} is not finite")
@@ -409,9 +427,11 @@ def _paired_fields(fam, x, y, floor, images, submersion) -> NodeFields:
             f"|det J| = {dets[i]:.3e} at x={x[i]}, y={y[i]} is below the degeneracy "
             f"floor {floor:.3e}"
         )
-    areas = stacked_norm(jac[:, :, k:])
+    areas = _once(stacked_norm, jac[:, :, k:])
     z = _stacked_map(fam, x, y) if images or submersion is not None else None
-    gradients = None if submersion is None else stacked_norm(_submersion_columns(submersion, z))
+    gradients = None
+    if submersion is not None:
+        gradients = _once(stacked_norm, _submersion_columns(submersion, z))
     return NodeFields(dets, areas, z, gradients)
 
 
@@ -442,16 +462,33 @@ def _check_pair(fam: ParametrizedFamily, sub: Submersion):
         )
 
 
-def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
-    """Residuals of :func:`key_relation_residual` at the broadcast nodes (x, y)."""
-    _check_pair(fam, sub)
-    fields = node_fields(fam, x, y, submersion=sub)
+def _defects(fields: NodeFields, x, y) -> np.ndarray:
+    """Residuals of :func:`key_relation_residual` from the fields of the
+    broadcast nodes (x, y); a vanishing area factor raises
+    DegenerateJacobian, naming the first such node."""
     vanishing = ~(fields.areas > 1e-300)
     if vanishing.any():
         i = np.unravel_index(int(np.argmax(vanishing)), vanishing.shape)
         x, y = (np.broadcast_to(a, vanishing.shape + a.shape[-1:])[i] for a in (x, y))
         raise DegenerateJacobian(f"surface area factor vanishes at x={x}, y={y}")
     return np.abs(fields.areas - fields.dets * fields.gradients) / fields.areas
+
+
+def _check_key_relation(fields: NodeFields, x, y, tol: float, label: str):
+    """Raise InconsistentSubmersion, with ``label`` naming the pair, when a
+    residual of the fields of the nodes (x, y) exceeds ``tol``."""
+    worst = float(_defects(fields, x, y).max())
+    if not worst <= tol:
+        raise InconsistentSubmersion(
+            f"{label}: area-factor residual {worst:.3e} exceeds {tol:.1e}; the "
+            f"submersion's level sets do not match the family"
+        )
+
+
+def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
+    """Residuals of :func:`key_relation_residual` at the broadcast nodes (x, y)."""
+    _check_pair(fam, sub)
+    return _defects(node_fields(fam, x, y, submersion=sub), x, y)
 
 
 def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> float:
@@ -469,6 +506,22 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
     return float(_key_relation_residuals(fam, sub, x, y))
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_probes(dim: int) -> np.ndarray:
+    """The probe pattern of the unit box in ``dim`` dimensions: its
+    2-per-axis grid, then its center (read-only, shared)."""
+    pattern = np.vstack([_product([[0.25, 0.75]] * dim), np.full((1, dim), 0.5)])
+    pattern.flags.writeable = False
+    return pattern
+
+
+def _probes(box: BoxDomain) -> np.ndarray:
+    """``box.grid(2)`` followed by ``box.grid(1)``, bit for bit while the
+    widths are normal floats: scaling by a quarter, three quarters and a
+    half rounds as the grid's products do."""
+    return box.lower + box.widths * _unit_probes(box.dim)
+
+
 def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, label: str):
     """Check the area-factor identity on a coarse probe grid, in one batch.
 
@@ -478,14 +531,9 @@ def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, la
     ``label`` naming the pair; a vanishing area factor raises
     DegenerateJacobian.
     """
-    x_probes = np.vstack([fam.param_box.grid(2), fam.param_box.grid(1)])
-    y_probes = np.vstack([fam.surface_box.grid(2), fam.surface_box.grid(1)])
-    worst = float(_key_relation_residuals(fam, sub, x_probes[:, None], y_probes[None]).max())
-    if not worst <= tol:
-        raise InconsistentSubmersion(
-            f"{label}: area-factor residual {worst:.3e} exceeds {tol:.1e}; the "
-            f"submersion's level sets do not match the family"
-        )
+    _check_pair(fam, sub)
+    x, y = _probes(fam.param_box)[:, None], _probes(fam.surface_box)[None]
+    _check_key_relation(node_fields(fam, x, y, submersion=sub), x, y, tol, label)
 
 
 def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:

@@ -36,11 +36,11 @@ from .family import (
     NodeFields,
     ParametrizedFamily,
     Submersion,
+    _check_key_relation,
     _check_pair,
     _count,
     _pairs,
     _point,
-    _probe_key_relation,
     _stacked_map,
     evaluate_map,
     jacobian_full,
@@ -446,7 +446,8 @@ def coarea_check(
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
     fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=sub)
     weighted = np.outer(x_weights, y_weights)
-    weighted = weighted * np.array([[float(integrand(z)) for z in row] for row in fields.images])
+    values = np.fromiter(map(integrand, fields.images.reshape(-1, fam.n)), float, weighted.size)
+    weighted = weighted * values.reshape(weighted.shape)
     lhs = weighted * fields.gradients * fields.dets
     return float(lhs.sum()), float((weighted * fields.areas).sum())
 
@@ -461,17 +462,22 @@ def submersion_modulus(
     """p-modulus computed through a submersion describing the level sets.
 
     The surface weight is obtained by integrating the (q-1) power of the
-    submersion's area factor over each level set; consistency of the
-    submersion with the parametrization is probed first and an
-    InconsistentSubmersion error is raised when the area-factor identity
-    fails at any probe point.
+    submersion's area factor over each level set.  The consistency of the
+    submersion with the parametrization is checked on the fields of the
+    quadrature grid, at every node: a vanishing area factor raises
+    DegenerateJacobian, and an area-factor residual above
+    ``residual_tol`` anywhere raises InconsistentSubmersion.  A |det J|
+    at or below :func:`jacobian_floor` raises DegenerateJacobian before
+    either, and a rank-deficient submersion differential after them.
     """
     q = conjugate_exponent(p)
     fam = levelset_param
-    _probe_key_relation(fam, sub, residual_tol, "submersion_modulus")
+    _check_pair(fam, sub)
     floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], floor=floor, submersion=sub)
+    x, y = x_nodes[:, None], y_nodes[None]
+    fields = node_fields(fam, x, y, floor=floor, submersion=sub)
+    _check_key_relation(fields, x, y, residual_tol, "submersion_modulus")
     _raise_first(
         ~(fields.gradients > 0.0),
         DegenerateJacobian,
@@ -517,12 +523,14 @@ def extremality_probe(
     draws of ``default_rng(seed)``, (trials, n), (trials, n) and
     (trials,), so one seed always gives the same competitors.  Their
     surface integrals follow from the density's own without forming the
-    competitors.  The competitors are formed, raised to the power p and
-    reduced in batches of at most ``family._CHUNK`` grid values (one row
+    competitors.  The competitors are formed, raised to the power p with
+    |det J| and the quadrature weights folded in (from logarithms where
+    the power alone leaves the normal range, as in :func:`_power`) and
+    summed in batches of at most ``family._CHUNK`` grid values (one row
     of the grid when a row is longer) in one reused buffer; a batch's
     trials get their waves and rescale together, so memory beyond
-    ``modulus_p``'s is that buffer and a few arrays of one value per
-    node of one axis and trial of the batch.
+    ``modulus_p``'s is that buffer, the powers of one batch and a few
+    arrays of one value per node of one axis and trial of the batch.
 
     ``trials`` must be an integer of at least 1 and ``amplitude`` lie in
     [0, 1), else ValueError; a competitor whose energy is not finite
@@ -551,6 +559,10 @@ def extremality_probe(
     group = min(trials, max(1, _family._CHUNK // (rows * ny)))
     buffer = np.empty(group * rows * ny)
     energies = np.zeros(trials)
+    # The inner weights divide as reciprocals: on boxes of width 1e-300 and
+    # 1e-200 the product of the two weights underflows, though the energy
+    # of each node does not.
+    inverse_y = 1.0 / y_weights
     with np.errstate(over="ignore"):
         for t in range(0, trials, group):
             span = slice(t, t + group)
@@ -567,10 +579,9 @@ def extremality_probe(
                 values = buffer[: wx.size * ny].reshape(wx.shape + (ny,))
                 np.multiply(wx[:, :, None], wave_y.T[:, None], out=values)
                 values += density[block]
-                values /= smallest[:, None, None]
-                values **= p
-                values *= fields.dets[block]
-                energies[span] += (values @ y_weights) @ x_weights[block]
+                factor = fields.dets[block] * x_weights[block, None]
+                values = _power(values, smallest[:, None, None], p, factor=factor, divisor=inverse_y)
+                energies[span] += values.reshape(len(wx), -1).sum(axis=1)
     _raise_first(
         ~np.isfinite(energies),
         NonFiniteIntegrand,

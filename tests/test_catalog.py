@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from surfmod import (
     AmbientMap,
     ConfigError,
+    InconsistentSubmersion,
     QuadratureScheme,
     available_families,
     build_entry,
@@ -23,6 +24,7 @@ from surfmod import (
     standard_entries,
     submersion_modulus,
 )
+from surfmod import catalog
 from surfmod.catalog import _box, _linear_entry
 
 from _oracles import minor_sum_norm, well_conditioned
@@ -296,3 +298,13 @@ def test_expected_density_admissibility_scale():
     assert par.expected_density(2.0) * 3.0 == pytest.approx(1.0)
     sheared = make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[1.0]])
     assert sheared.expected_density(2.0) * np.sqrt(2.0) == pytest.approx(1.0)
+
+
+def test_linear_entries_check_the_key_relation_on_their_matrix(monkeypatch):
+    # a companion block off by 1% breaks |L_y| = |det L| |B| at every node
+    companion_block = catalog.companion_block
+    monkeypatch.setattr(catalog, "companion_block", lambda a, m: 1.01 * companion_block(a, m))
+    with pytest.raises(InconsistentSubmersion, match="catalog entry 'shear'"):
+        make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]])
+    with pytest.raises(InconsistentSubmersion, match="catalog entry 'parallel'"):
+        make_parallel([(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0)])

@@ -175,6 +175,15 @@ def test_verify_condenser_with_powers_out_of_the_normal_range(capsys):
     assert "PASS admissibility" in captured and "PASS extremality" in captured
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_a_tiny_box_beyond_the_largest_float_power(capsys):
+    # a competitor's rho^3 = 1e600 overflowed before the weights scaled it
+    args = ["--u", "0,1e-300", "--v", "0,1e-200", "--p", "3", "--trials", "5"]
+    code = cli.main(["verify", "--family", "parallel"] + args)
+    assert code == 0
+    assert "PASS extremality" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["annulus-radial", "condenser"])
 def test_verify_csv(tmp_path, family):
     # annulus-radial has a submersion; the condenser skips coarea and route-equivalence

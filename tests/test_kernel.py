@@ -404,6 +404,61 @@ def test_submersion_twins_give_the_same_gradients(analytic):
         np.testing.assert_allclose(fields.gradients, expected, rtol=rtol)
 
 
+def _copied(fam, sub):
+    """Twins of a family and a submersion whose Jacobians are materialized
+    copies, not one matrix broadcast over the batch."""
+    return (
+        replace(fam, jacobian=lambda x, y: np.array(fam.jacobian(x, y))),
+        replace(sub, jacobian=lambda z: np.array(sub.jacobian(z))),
+    )
+
+
+def test_a_repeated_jacobian_gives_the_fields_of_its_copies(monkeypatch):
+    # fields taken once from a broadcast matrix are every copy's, bit for
+    # bit: closed-form and LU determinants, column and QR area factors
+    rng = np.random.default_rng(59)
+    whole = family._CHUNK
+    for n, m in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 3)):
+        a = well_conditioned(rng, n)
+        fam = linear_family(a, _box(rng, n - m), _box(rng, m))
+        shear = make_shear(_box(rng, n - m), _box(rng, m), rng.uniform(-1.0, 1.0, (n - m, m)))
+        pairs = ((fam, linear_submersion(catalog.companion_block(a, m))), (shear.family, shear.submersion))
+        for fam, sub in pairs:
+            copies, sub_copies = _copied(fam, sub)
+            x, _ = random_nodes(rng, fam, 6)
+            _, y = random_nodes(rng, fam, 5)
+            floor = 1e-3 * min(abs(np.linalg.det(a)), 1.0)  # |det| of a shear is 1
+            for chunk in (whole, 7):
+                monkeypatch.setattr(family, "_CHUNK", chunk)
+                got = node_fields(fam, x[:, None], y[None], floor=floor, submersion=sub)
+                want = node_fields(copies, x[:, None], y[None], floor=floor, submersion=sub_copies)
+                for ours, theirs in zip(got, want):
+                    np.testing.assert_array_equal(ours, theirs)
+
+
+def test_a_repeated_jacobian_fails_as_its_copies_do():
+    # a NaN in the one matrix, or a floor above its |det|, names the first node
+    a = np.array([[2.0, 0.5], [0.0, 1.5]])
+    spoiled = a.copy()
+    spoiled[1, 0] = np.nan
+    unit = BoxDomain([0.0], [1.0])
+    first = f"x={NODES_X[0]}, y={NODES_Y[0]}"
+    cases = (
+        (spoiled, a[:1], None, EvaluationFailure, first),
+        (a, spoiled[1:], None, EvaluationFailure, f"z={a @ np.concatenate([NODES_X[0], NODES_Y[0]])}"),
+        (a, a[:1], 4.0, DegenerateJacobian, first),
+    )
+    for matrix, b, floor, error, named in cases:
+        fam, sub = linear_family(matrix, unit, unit), linear_submersion(b)
+        messages = []
+        for twin, sub_twin in (fam, sub), _copied(fam, sub):
+            with pytest.raises(error) as raised:
+                node_fields(twin, NODES_X[:, None], NODES_Y[None], floor=floor, submersion=sub_twin)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert named in messages[0], messages[0]
+
+
 def _named_point(message):
     return np.array([float(v) for v in re.search(r"z=\[([^\]]*)\]", message).group(1).split()])
 

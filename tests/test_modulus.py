@@ -196,6 +196,21 @@ def test_modulus_of_a_tiny_box_beyond_the_largest_float_power():
         assert entry.expected_modulus(3.0) == pytest.approx(1e100, rel=1e-12)
 
 
+@pytest.mark.parametrize("u", [1e-300, 1e-200])
+def test_extremality_probe_on_a_tiny_box_beyond_the_largest_float_power(u):
+    # a competitor's rho^p is about 1e600 and the product of a node's two
+    # weights 1e-504 or 1e-404, while its energy, near the modulus u * 1e400,
+    # is representable; the gap is the unit box's, scaled by the modulus
+    entry = make_parallel([(0.0, u)], [(0.0, 1e-200)])
+    unit = make_parallel([(0.0, 1.0)], [(0.0, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = extremality_probe(entry.family, 3.0, QUAD, trials=5)
+    assert np.isfinite(gap) and gap >= 0.0
+    expected = extremality_probe(unit.family, 3.0, QUAD, trials=5)
+    assert gap / modulus_p(entry.family, 3.0, QUAD).modulus == pytest.approx(expected, rel=1e-9)
+
+
 @pytest.mark.parametrize("sx", [1e250, 1e-250])
 def test_representable_weight_survives_an_out_of_range_ratio(sx):
     # condenser diag(sx, 1) at p = 3: area 1 and |det J| = sx, so
@@ -506,6 +521,22 @@ def test_inconsistent_submersion_rejected():
         submersion_modulus(circular.submersion, radial.family, 2.0, QUAD)
 
 
+def test_submersion_modulus_checks_every_quadrature_node():
+    # z -> z_0 on the unit parallel family, with the Jacobian
+    # (1 + 0.5 sin^2(4 pi z_0), 0): right where the sine vanishes, at the
+    # probe points z_0 = 1/4, 1/2, 3/4, and off by up to a third between
+    def jacobian(z):
+        out = np.zeros(z.shape[:-1] + (1, 2))
+        out[..., 0, 0] = 1.0 + 0.5 * np.sin(4.0 * np.pi * z[..., 0]) ** 2
+        return out
+
+    fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
+    wavy = Submersion(n=2, k=1, map=lambda z: z[..., :1], jacobian=jacobian)
+    family_module._probe_key_relation(fam, wavy, 1e-4, "probe")
+    with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
+        submersion_modulus(wavy, fam, 2.0, QUAD)
+
+
 def test_flat_submersion_names_the_first_image():
     # a zero differential passes a consistency probe this loose, then fails
     # at the first quadrature node
@@ -620,17 +651,16 @@ def test_extremality_probe_batches_do_not_change_the_gap(fam, p, quad, monkeypat
 
 
 def test_extremality_probe_names_the_first_non_finite_competitor():
-    # diag(s, t) has density 1/t and |det J| = s t, so competitor^p |det J|
-    # is the identity's times s t^(1-p).  Put that factor at the largest
-    # float over a threshold between trial 0's largest competitor^p and a
-    # later trial's: only the trials above it overflow, and the first of
-    # them is named.
+    # diag(s, t) has density 1/t and |det J| = s t, so a competitor's
+    # p-energy is the identity's times s t^(1-p).  Put that factor at the
+    # largest float over a threshold between trial 0's energy and a later
+    # trial's: only the trials above it have an energy beyond the largest
+    # float, and the first of them is named.
     p, trials, s = 3.0, 12, 1e200
-    competitors, _, _ = _probe_reference(constant_jacobian_family(np.eye(2)), p, QUAD, trials, seed=4)
-    peaks = np.array([c.max() ** p for c in competitors])
-    first = int(np.argmax(peaks > peaks[0]))
+    _, energies, _ = _probe_reference(constant_jacobian_family(np.eye(2)), p, QUAD, trials, seed=4)
+    first = int(np.argmax(energies > energies[0]))
     assert first > 0
-    threshold = 0.5 * (peaks[0] + peaks[peaks > peaks[0]].min())
+    threshold = 0.5 * (energies[0] + energies[energies > energies[0]].min())
     t = (np.finfo(float).max / threshold / s) ** (1.0 / (1.0 - p))
     fam = constant_jacobian_family(np.diag([s, t]))
     with pytest.raises(NonFiniteIntegrand, match=f"p-energy of competitor {first} is inf"):
