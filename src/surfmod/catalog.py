@@ -25,7 +25,6 @@ from .family import (
     _check_key_relation,
     _paired,
     _probe_key_relation,
-    _probes,
     compose,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
@@ -139,8 +138,10 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
     sub = Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
     dets, areas = _stacked_abs_det(L[None]), stacked_norm(L[None, :, k:])
     fields = NodeFields(dets, areas, gradients=stacked_norm(b[None]))
-    # A vanishing area factor is named at the first probe node.
-    _check_key_relation(fields, _probes(u)[:1], _probes(v)[:1], _PROBE_TOL, f"catalog entry {name!r}")
+    # L_y is the same at every node: a vanishing one is named at the
+    # quarter-width node, the first that _probe_key_relation's grid names.
+    x, y = u.lower + u.widths / 4, v.lower + v.widths / 4
+    _check_key_relation(fields, x, y, _PROBE_TOL, f"catalog entry {name!r}")
 
     # numpy's det, not the node kernel, keeps the closed form independent
     # of the code it checks; evaluated per call, not at build time.

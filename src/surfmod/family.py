@@ -12,7 +12,6 @@ together with the generalized norm of the y-block.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -506,20 +505,15 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
     return float(_key_relation_residuals(fam, sub, x, y))
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_probes(dim: int) -> np.ndarray:
-    """The probe pattern of the unit box in ``dim`` dimensions: its
-    2-per-axis grid, then its center (read-only, shared)."""
-    pattern = np.vstack([_product([[0.25, 0.75]] * dim), np.full((1, dim), 0.5)])
-    pattern.flags.writeable = False
-    return pattern
+def _probe_points(box: BoxDomain) -> np.ndarray:
+    """The probe points of ``box``: its quarter and three-quarter points
+    on every axis, combined as ``grid(2)`` does, then its center.
 
-
-def _probes(box: BoxDomain) -> np.ndarray:
-    """``box.grid(2)`` followed by ``box.grid(1)``, bit for bit while the
-    widths are normal floats: scaling by a quarter, three quarters and a
-    half rounds as the grid's products do."""
-    return box.lower + box.widths * _unit_probes(box.dim)
+    The same points as ``grid(2)`` and ``grid(1)``, in a third of their
+    time: the annulus entries probe twice per build.
+    """
+    unit = np.vstack([_product([[0.25, 0.75]] * box.dim), np.full((1, box.dim), 0.5)])
+    return box.lower + box.widths * unit
 
 
 def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, label: str):
@@ -532,7 +526,7 @@ def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, la
     DegenerateJacobian.
     """
     _check_pair(fam, sub)
-    x, y = _probes(fam.param_box)[:, None], _probes(fam.surface_box)[None]
+    x, y = _probe_points(fam.param_box)[:, None], _probe_points(fam.surface_box)[None]
     _check_key_relation(node_fields(fam, x, y, submersion=sub), x, y, tol, label)
 
 

@@ -501,6 +501,28 @@ def _waves(nodes, box, orders, phases):
     return waves
 
 
+def _normal(values) -> np.ndarray:
+    """Where ``values`` are finite and at least the smallest normal float."""
+    return (values >= _TINY) & (values < np.inf)
+
+
+def _log_energies(values, smallest, p, dets, x_weights, y_weights) -> np.ndarray:
+    """One p-energy per trial of a batch: the sum over its nodes of
+    (values / smallest)^p |det J| w_x w_y, from logarithms.
+
+    ``values`` is (trials, rows, ny), ``smallest`` (trials,), ``dets``
+    (rows, ny).  Every factor enters by its own logarithm, and each sum
+    is scaled by its largest term, so an energy under- or overflows only
+    where it is not representable: no product of two factors is formed.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = p * (np.log(values) - np.log(smallest)[:, None, None])
+        logs += np.log(dets) + np.log(x_weights)[:, None] + np.log(y_weights)
+        logs = logs.reshape(len(logs), -1)
+        top = logs.max(axis=1)
+        return np.exp(top + np.log(np.exp(logs - top[:, None]).sum(axis=1)))
+
+
 def extremality_probe(
     fam: ParametrizedFamily,
     p: float,
@@ -523,18 +545,20 @@ def extremality_probe(
     draws of ``default_rng(seed)``, (trials, n), (trials, n) and
     (trials,), so one seed always gives the same competitors.  Their
     surface integrals follow from the density's own without forming the
-    competitors.  The competitors are formed, raised to the power p with
-    |det J| and the quadrature weights folded in (from logarithms where
-    the power alone leaves the normal range, as in :func:`_power`) and
-    summed in batches of at most ``family._CHUNK`` grid values (one row
+    competitors.  The competitors are formed, raised to the power p and
+    reduced in batches of at most ``family._CHUNK`` grid values (one row
     of the grid when a row is longer) in one reused buffer; a batch's
     trials get their waves and rescale together, so memory beyond
-    ``modulus_p``'s is that buffer, the powers of one batch and a few
-    arrays of one value per node of one axis and trial of the batch.
+    ``modulus_p``'s is that buffer and a few arrays of one value per
+    node of one axis and trial of the batch.  A batch whose energies, or
+    their sums over y, leave the normal range is formed again from
+    logarithms, in a few arrays of its size (:func:`_log_energies`), so
+    a competitor whose rho^p overflows while its energy does not still
+    has that energy.
 
     ``trials`` must be an integer of at least 1 and ``amplitude`` lie in
-    [0, 1), else ValueError; a competitor whose energy is not finite
-    raises NonFiniteIntegrand, naming the first such trial.
+    [0, 1), else ValueError; a competitor whose energy is not finite and
+    positive raises NonFiniteIntegrand, naming the first such trial.
     """
     trials = _count(trials, "trials")
     if not 0.0 <= amplitude < 1.0:
@@ -559,10 +583,6 @@ def extremality_probe(
     group = min(trials, max(1, _family._CHUNK // (rows * ny)))
     buffer = np.empty(group * rows * ny)
     energies = np.zeros(trials)
-    # The inner weights divide as reciprocals: on boxes of width 1e-300 and
-    # 1e-200 the product of the two weights underflows, though the energy
-    # of each node does not.
-    inverse_y = 1.0 / y_weights
     with np.errstate(over="ignore"):
         for t in range(0, trials, group):
             span = slice(t, t + group)
@@ -579,11 +599,20 @@ def extremality_probe(
                 values = buffer[: wx.size * ny].reshape(wx.shape + (ny,))
                 np.multiply(wx[:, :, None], wave_y.T[:, None], out=values)
                 values += density[block]
-                factor = fields.dets[block] * x_weights[block, None]
-                values = _power(values, smallest[:, None, None], p, factor=factor, divisor=inverse_y)
-                energies[span] += values.reshape(len(wx), -1).sum(axis=1)
+                values /= smallest[:, None, None]
+                values **= p
+                values *= fields.dets[block]
+                inner = values @ y_weights
+                batch = inner @ x_weights[block]
+                if not (_normal(inner).all() and _normal(batch).all()):
+                    np.multiply(wx[:, :, None], wave_y.T[:, None], out=values)
+                    values += density[block]
+                    batch = _log_energies(
+                        values, smallest, p, fields.dets[block], x_weights[block], y_weights
+                    )
+                energies[span] += batch
     _raise_first(
-        ~np.isfinite(energies),
+        ~(np.isfinite(energies) & (energies > 0.0)),
         NonFiniteIntegrand,
         lambda i: f"p-energy of competitor {i} is {float(energies[i])!r}",
     )

@@ -196,19 +196,28 @@ def test_modulus_of_a_tiny_box_beyond_the_largest_float_power():
         assert entry.expected_modulus(3.0) == pytest.approx(1e100, rel=1e-12)
 
 
-@pytest.mark.parametrize("u", [1e-300, 1e-200])
-def test_extremality_probe_on_a_tiny_box_beyond_the_largest_float_power(u):
+@pytest.mark.parametrize(
+    "fam",
+    [
+        make_parallel([(0.0, 1e-300)], [(0.0, 1e-200)]).family,
+        make_parallel([(0.0, 1e-200)], [(0.0, 1e-200)]).family,
+        replace(constant_jacobian_family(np.diag([1.0, 1e-200])), param_box=BoxDomain([0.0], [1e-200])),
+    ],
+    ids=["parallel-1e-300", "parallel-1e-200", "diag-1e-200"],
+)
+def test_extremality_probe_on_a_tiny_box_beyond_the_largest_float_power(fam):
     # a competitor's rho^p is about 1e600 and the product of a node's two
-    # weights 1e-504 or 1e-404, while its energy, near the modulus u * 1e400,
-    # is representable; the gap is the unit box's, scaled by the modulus
-    entry = make_parallel([(0.0, u)], [(0.0, 1e-200)])
+    # weights 1e-504 or 1e-404 (for the parallel boxes), or of its |det J|
+    # and x weight 1e-400 (for diag(1, 1e-200)), while its energy, near the
+    # modulus, is representable; the gap is the unit box's, scaled by the
+    # modulus
     unit = make_parallel([(0.0, 1.0)], [(0.0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gap = extremality_probe(entry.family, 3.0, QUAD, trials=5)
+        gap = extremality_probe(fam, 3.0, QUAD, trials=5)
     assert np.isfinite(gap) and gap >= 0.0
     expected = extremality_probe(unit.family, 3.0, QUAD, trials=5)
-    assert gap / modulus_p(entry.family, 3.0, QUAD).modulus == pytest.approx(expected, rel=1e-9)
+    assert gap / modulus_p(fam, 3.0, QUAD).modulus == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("sx", [1e250, 1e-250])
