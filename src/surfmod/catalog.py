@@ -10,7 +10,8 @@ routes must agree on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -67,18 +68,35 @@ class CatalogEntry:
     family, carries its closed form |sx| * |sy|^(1-p).
     ``expected_density`` is the constant value of the extremal density as
     a function of p for families whose extremal density is constant, and
-    None otherwise.  ``transverse``
-    links to the family swept in the complementary directions when the
-    construction provides one.
+    None otherwise.  ``submersion`` is a submersion whose level sets are
+    the family's surfaces, and ``transverse`` links to the family swept
+    in the complementary directions, each None when the construction
+    provides none.
+
+    Both are built when first read, by the zero-argument builders
+    ``_submersion`` and ``_transverse``, and kept: a submersion with the
+    check that it matches the family (the companion block and its key
+    relation for a linear entry, the probe for an annulus entry), a
+    transverse entry whole.  A caller of the modulus layer that reads
+    neither never pays for them, and a failed check raises at the first
+    read, not at construction.
     """
 
     name: str
     family: ParametrizedFamily
     expected_modulus: Callable[[float], float]
     parameters: Mapping
-    submersion: Submersion | None = None
-    transverse: "CatalogEntry | None" = None
+    _submersion: Callable[[], Submersion | None] = field(default=lambda: None, repr=False)
+    _transverse: Callable[[], "CatalogEntry | None"] = field(default=lambda: None, repr=False)
     expected_density: Callable[[float], float] | None = None
+
+    @cached_property
+    def submersion(self) -> Submersion | None:
+        return self._submersion()
+
+    @cached_property
+    def transverse(self) -> "CatalogEntry | None":
+        return self._transverse()
 
 
 def _box(spec) -> BoxDomain:
@@ -111,7 +129,8 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
     the Jacobian at every node and B the submersion's derivative, so the
     key relation |L_y| = |det L| * |B| is checked once, on L and B, with
     the node kernel's own norms; its residual is the one a probe would
-    find at each of its nodes.  With
+    find at each of its nodes.  B and that check are formed when the
+    entry's ``submersion`` is first read, not here.  With
     L_y the last m columns of L, A = sqrt(det(L_y^T L_y)) and J = |det L|,
     every surface weighs l = vol(V) * A^q * J^(1-q), hence
 
@@ -119,12 +138,11 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
 
     attained by the constant density (A/J)^(q-1) / l.  With
     ``transverse_name`` the entry links to the family [L_y | L_x] on
-    V x U, built the same way.
+    V x U, built the same way when ``transverse`` is first read.
     """
     k, m = u.dim, v.dim
     n = k + m
     L = np.asarray(L, dtype=float)
-    b = companion_block(L, m)
     # A C-ordered right operand halves the batched matmul's time.
     lt = L.T.copy()
     family = ParametrizedFamily(
@@ -135,13 +153,16 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
         map=_paired(lambda x, y: np.concatenate([x, y], axis=-1) @ lt),
         jacobian=_paired(_constant(L)),
     )
-    sub = Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
-    dets, areas = _stacked_abs_det(L[None]), stacked_norm(L[None, :, k:])
-    fields = NodeFields(dets, areas, gradients=stacked_norm(b[None]))
-    # L_y is the same at every node: a vanishing one is named at the
-    # quarter-width node, the first that _probe_key_relation's grid names.
-    x, y = u.lower + u.widths / 4, v.lower + v.widths / 4
-    _check_key_relation(fields, x, y, _PROBE_TOL, f"catalog entry {name!r}")
+
+    def submersion():
+        b = companion_block(L, m)
+        dets, areas = _stacked_abs_det(L[None]), stacked_norm(L[None, :, k:])
+        fields = NodeFields(dets, areas, gradients=stacked_norm(b[None]))
+        # L_y is the same at every node: a vanishing one is named at the
+        # quarter-width node, the first that _probe_key_relation's grid names.
+        x, y = u.lower + u.widths / 4, v.lower + v.widths / 4
+        _check_key_relation(fields, x, y, _PROBE_TOL, f"catalog entry {name!r}")
+        return Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
 
     # numpy's det, not the node kernel, keeps the closed form independent
     # of the code it checks; evaluated per call, not at build time.
@@ -164,17 +185,19 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
         ratio, q, l_val = weight(e)
         return ratio ** (q - 1.0) / l_val
 
-    transverse = None
-    if transverse_name is not None:
+    def transverse():
+        if transverse_name is None:
+            return None
         swapped = np.concatenate([L[:, k:], L[:, :k]], axis=1)  # [L_y | L_x]
-        transverse = _linear_entry(transverse_name, swapped, v, u, parameters)
+        return _linear_entry(transverse_name, swapped, v, u, parameters)
+
     return CatalogEntry(
         name=name,
         family=family,
         expected_modulus=expected_modulus,
         parameters=parameters,
-        submersion=sub,
-        transverse=transverse,
+        _submersion=submersion,
+        _transverse=transverse,
         expected_density=expected_density,
     )
 
@@ -265,13 +288,12 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - q) - inner ** (2.0 - q)) / (2.0 - q)
         return 2.0 * np.pi * weight ** (1.0 - e)
 
-    sub = Submersion(n=2, k=1, map=angle, jacobian=angle_jac)
     return CatalogEntry(
         name="annulus-radial",
         family=_polar_family(_box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)]), False),
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
-        submersion=sub,
+        _submersion=lambda: Submersion(n=2, k=1, map=angle, jacobian=angle_jac),
     )
 
 
@@ -289,14 +311,24 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
             weight = (outer ** (2.0 - e) - inner ** (2.0 - e)) / (2.0 - e)
         return (2.0 * np.pi) ** (1.0 - e) * weight
 
-    sub = Submersion(n=2, k=1, map=radius, jacobian=radius_jac)
     return CatalogEntry(
         name="annulus-circular",
         family=_polar_family(_box([(inner, outer)]), _box([(0.0, 2.0 * np.pi)]), True),
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
-        submersion=sub,
+        _submersion=lambda: Submersion(n=2, k=1, map=radius, jacobian=radius_jac),
     )
+
+
+def _probed(entry: CatalogEntry) -> CatalogEntry:
+    """``entry`` with its submersion probed against its family on first read."""
+
+    def submersion():
+        sub = entry._submersion()
+        _probe_key_relation(entry.family, sub, _PROBE_TOL, f"catalog entry {entry.name!r}")
+        return sub
+
+    return replace(entry, _submersion=submersion)
 
 
 def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "radial") -> CatalogEntry:
@@ -306,7 +338,8 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
     at p=2 the modulus is 2*pi / log(r1/r0) and the extremal density is
     1 / (|z| log(r1/r0)).  mode="circular" sweeps the concentric circles
     and at p=2 yields the reciprocal-type value log(r1/r0) / (2*pi).
-    Each entry's ``transverse`` is the other one.
+    Each entry's ``transverse`` is the other one.  An entry's submersion
+    is probed against its family on a coarse grid when first read.
     """
     inner = float(inner_radius)
     outer = float(outer_radius)
@@ -314,13 +347,11 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
         raise ValueError(f"radii must satisfy 0 < r0 < r1, got ({inner_radius}, {outer_radius})")
     if mode not in ("radial", "circular"):
         raise ValueError(f"mode must be 'radial' or 'circular', got {mode!r}")
-    radial = _annulus_radial(inner, outer)
-    circular = _annulus_circular(inner, outer)
-    _probe_key_relation(radial.family, radial.submersion, _PROBE_TOL, "catalog entry 'annulus-radial'")
-    _probe_key_relation(circular.family, circular.submersion, _PROBE_TOL, "catalog entry 'annulus-circular'")
+    radial = _probed(_annulus_radial(inner, outer))
+    circular = _probed(_annulus_circular(inner, outer))
     if mode == "radial":
-        return replace(radial, transverse=replace(circular, transverse=radial))
-    return replace(circular, transverse=replace(radial, transverse=circular))
+        return replace(radial, _transverse=lambda: replace(circular, _transverse=lambda: radial))
+    return replace(circular, _transverse=lambda: replace(radial, _transverse=lambda: circular))
 
 
 def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_box=((0.0, 1.0),)) -> CatalogEntry:

@@ -109,8 +109,9 @@ class BoxDomain:
         per_axis = _count(per_axis, "per_axis")
         if not 0.0 <= inset < 0.5:
             raise ValueError(f"inset must lie in [0, 0.5), got {inset!r}")
-        lo = self.lower + inset * self.widths
-        hi = self.upper - inset * self.widths
+        lo, hi = self.lower, self.upper
+        if inset:
+            lo, hi = lo + inset * self.widths, hi - inset * self.widths
         return _product(lo[:, None] + (hi - lo)[:, None] * (np.arange(per_axis) + 0.5) / per_axis)
 
 
@@ -566,7 +567,12 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
     def jac(x, y):
         z = _stacked_map(fam, x, y)
         outer_jac = outer_values(outer.jacobian, x, y, z, (n, n), "ambient jacobian")
-        return outer_jac @ _jacobian_columns(fam, x, y)
+        inner_jac = _jacobian_columns(fam, x, y)
+        # Two matrices broadcast over a batch of several nodes have one
+        # product, kept broadcast so that node_fields takes its fields once.
+        if len(x) > 1 and outer_jac.strides[0] == 0 and inner_jac.strides[0] == 0:
+            return np.broadcast_to(outer_jac[:1] @ inner_jac[:1], outer_jac.shape)
+        return outer_jac @ inner_jac
 
     analytic = fam.jacobian is not None and outer.jacobian is not None
     return replace(fam, map=batched(composed), jacobian=batched(jac) if analytic else None)

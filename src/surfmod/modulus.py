@@ -67,11 +67,11 @@ __all__ = [
 # Exponents this close to 1 make the conjugate exponent blow up; reject them.
 _MIN_P_GAP = 1e-9
 
-# Relative factor applied to the median |det J| of a probe grid; nodes
+# Relative factor applied to the median |det J| of a grid; nodes at or
 # below the resulting floor are treated as degenerate.
 _DEGENERACY_FACTOR = 1e-12
 
-# Probe points per axis of that grid.
+# Probe points per axis of jacobian_floor's grid.
 _FLOOR_PROBES = 5
 
 # l(x) values below this are numerically meaningless underflow.
@@ -89,16 +89,36 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def jacobian_floor(fam: ParametrizedFamily) -> float:
-    """Degeneracy threshold for |det J| on this family.
+def _median(values) -> float:
+    """``np.median`` of ``values``, from one ``np.partition`` of a copy,
+    which is freed on return.
 
-    The median of |det J| over a coarse interior grid sets the scale;
-    quadrature nodes whose determinant falls below a tiny fraction of it
-    are reported as degenerate rather than silently amplified by the
-    q-power in the integrand.
+    Of an even count, the lower middle value is the largest left of the
+    upper one, read with ``max`` instead of a second partition point,
+    which costs numpy a pass several times slower.
+    """
+    flat = values.ravel()
+    half = flat.size // 2
+    part = np.partition(flat, half)
+    if flat.size % 2:
+        return float(part[half])
+    return float((part[:half].max() + part[half]) / 2)
+
+
+def jacobian_floor(fam: ParametrizedFamily) -> float:
+    """Degeneracy threshold for |det J| on this family, from a probe grid.
+
+    The median of |det J| over a coarse interior grid, 5 points per
+    axis, sets the scale; nodes whose determinant is at or below a tiny
+    fraction of it are reported as degenerate rather than silently
+    amplified by the q-power in the integrand.  :class:`ExtremalDensity`
+    takes its floor here, since it evaluates single points and partial
+    grids; the whole-grid routes (:func:`modulus_p`,
+    :func:`submersion_modulus`, :func:`extremality_probe`) take theirs
+    from the grid they integrate instead.
     """
     x, y = fam.param_box.grid(_FLOOR_PROBES), fam.surface_box.grid(_FLOOR_PROBES)
-    return _DEGENERACY_FACTOR * float(np.median(node_fields(fam, x[:, None], y[None]).dets))
+    return _DEGENERACY_FACTOR * _median(node_fields(fam, x[:, None], y[None]).dets)
 
 
 def _rules(fam, quad):
@@ -112,9 +132,33 @@ def _raise_first(bad, error, message):
         raise error(message(*np.unravel_index(int(np.argmax(bad)), bad.shape)))
 
 
-def _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor):
+def _grid_fields(fam, x_nodes, y_nodes, submersion=None) -> NodeFields:
+    """Fields of the tensor grid of ``x_nodes`` and ``y_nodes``, with the
+    degeneracy floor taken from that grid.
+
+    The grid is evaluated once, without a floor; then the first node in
+    C order whose |det J| is at or below ``_DEGENERACY_FACTOR`` times the
+    median |det J| over the grid raises DegenerateJacobian.  Any error of
+    the evaluation itself, at any node, comes first.  The median is at
+    most the largest |det J|, so a grid whose smallest is above that
+    factor times its largest has no such node, and skips the median.
+    """
+    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=submersion)
+    dets = fields.dets
+    if not dets.min() > _DEGENERACY_FACTOR * dets.max():
+        floor = _DEGENERACY_FACTOR * _median(dets)
+        _raise_first(
+            dets <= floor,
+            DegenerateJacobian,
+            lambda i, j: f"|det J| = {dets[i, j]:.3e} at x={x_nodes[i]}, y={y_nodes[j]} is below "
+            f"the degeneracy floor {floor:.3e}",
+        )
+    return fields
+
+
+def _surface_weights(fam, q, x_nodes, y_nodes, y_weights):
     """Surface weights l(x) at every row of ``x_nodes``, with the grid fields behind them."""
-    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], floor=floor)
+    fields = _grid_fields(fam, x_nodes, y_nodes)
     return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
 
 
@@ -239,6 +283,9 @@ def modulus_p(
     Integrates l(x)^(1-p) over the parameter box, where l is the surface
     weight integrated with the same quadrature scheme on the surface box;
     ``extremal_density(fam, p, quad).l_value(x)`` reads it at one point.
+    The grid is evaluated once; a node whose |det J| is at or below 1e-12
+    times the median |det J| over that grid raises DegenerateJacobian,
+    naming the first such node.
 
     Parameters
     ----------
@@ -249,9 +296,8 @@ def modulus_p(
         Used for both the outer (parameter) and inner (surface) integrals.
     """
     q = conjugate_exponent(p)
-    floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor)
+    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights)
     return _report(p, q, x_nodes, x_weights, l_vals, fields.dets)
 
 
@@ -290,7 +336,8 @@ class ExtremalDensity:
         fam = self.family
         x = _point(x, fam.n - fam.m, "x")
         nodes, weights = self._inner_nodes, self._inner_weights
-        return float(_surface_weights(fam, self.q, x[None], nodes, weights, self._floor)[0][0])
+        fields = node_fields(fam, x[None, None], nodes[None], floor=self._floor)
+        return float(_weights_from_fields(fields, self.q, x[None], nodes, weights)[0])
 
     # -- evaluation ----------------------------------------------------
 
@@ -467,17 +514,16 @@ def submersion_modulus(
     quadrature grid, at every node: a vanishing area factor raises
     DegenerateJacobian, and an area-factor residual above
     ``residual_tol`` anywhere raises InconsistentSubmersion.  A |det J|
-    at or below :func:`jacobian_floor` raises DegenerateJacobian before
-    either, and a rank-deficient submersion differential after them.
+    at or below the degeneracy floor, 1e-12 times the median |det J|
+    over the same grid, raises DegenerateJacobian before either, and a
+    rank-deficient submersion differential after them.
     """
     q = conjugate_exponent(p)
     fam = levelset_param
     _check_pair(fam, sub)
-    floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    x, y = x_nodes[:, None], y_nodes[None]
-    fields = node_fields(fam, x, y, floor=floor, submersion=sub)
-    _check_key_relation(fields, x, y, residual_tol, "submersion_modulus")
+    fields = _grid_fields(fam, x_nodes, y_nodes, submersion=sub)
+    _check_key_relation(fields, x_nodes[:, None], y_nodes[None], residual_tol, "submersion_modulus")
     _raise_first(
         ~(fields.gradients > 0.0),
         DegenerateJacobian,
@@ -540,6 +586,9 @@ def extremality_probe(
     integral to restore admissibility and evaluates the p-energy by
     pullback.  Returns min over trials of (competitor energy - modulus);
     extremality of the density makes this nonnegative up to rounding.
+    The density and the modulus come from one evaluation of the
+    quadrature grid, which takes its degeneracy floor from its own median
+    |det J|, as :func:`modulus_p` does.
 
     Every trial's wave orders, phases and amplitude come from three bulk
     draws of ``default_rng(seed)``, (trials, n), (trials, n) and
@@ -564,9 +613,8 @@ def extremality_probe(
     if not 0.0 <= amplitude < 1.0:
         raise ValueError(f"amplitude must lie in [0, 1), got {amplitude!r}")
     q = conjugate_exponent(p)
-    floor = jacobian_floor(fam)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights, floor)
+    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights)
     modulus = _outer_integral(x_weights, l_vals, p)
     density = _density(fields, q, l_vals, x_nodes, y_nodes)
 

@@ -304,7 +304,66 @@ def test_linear_entries_check_the_key_relation_on_their_matrix(monkeypatch):
     # a companion block off by 1% breaks |L_y| = |det L| |B| at every node
     companion_block = catalog.companion_block
     monkeypatch.setattr(catalog, "companion_block", lambda a, m: 1.01 * companion_block(a, m))
+    # the check runs when the submersion is first read, not at the build
+    shear = make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]])
     with pytest.raises(InconsistentSubmersion, match="catalog entry 'shear'"):
-        make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]])
+        shear.submersion
+    parallel = make_parallel([(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0)])
     with pytest.raises(InconsistentSubmersion, match="catalog entry 'parallel'"):
-        make_parallel([(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0)])
+        parallel.submersion
+    with pytest.raises(InconsistentSubmersion, match="catalog entry 'parallel-transverse'"):
+        parallel.transverse.submersion
+
+
+def _counted(monkeypatch, name):
+    """Calls of ``catalog.<name>``, counted in a list that grows per call."""
+    calls, original = [], getattr(catalog, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(catalog, name, counted)
+    return calls
+
+
+def test_entries_build_their_submersion_and_transverse_on_first_read(monkeypatch):
+    blocks = _counted(monkeypatch, "companion_block")
+    probes = _counted(monkeypatch, "_probe_key_relation")
+    entries = [
+        make_parallel([(0.0, 1.0)], [(0.0, 2.0)]),
+        make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]]),
+        make_polar_annulus(1.0, 2.0, mode="radial"),
+        make_polar_annulus(1.0, 2.0, mode="circular"),
+        make_pq_map(2.5),
+        build_entry("parallel"),
+        build_entry("annulus-circular"),
+        build_entry("condenser"),
+    ]
+    # no build forms a companion block or probes a submersion
+    assert (len(blocks), len(probes)) == (0, 0)
+    for entry in entries:
+        modulus_p(entry.family, 2.0, LIGHT)
+        extremal_density(entry.family, 2.0, LIGHT)
+    assert (len(blocks), len(probes)) == (0, 0)
+
+    linear, annulus = entries[0], entries[2]
+    for entry, calls in ((linear, blocks), (annulus, probes)):
+        first = entry.submersion
+        assert len(calls) == 1
+        assert entry.submersion is first
+        assert len(calls) == 1
+    assert (len(blocks), len(probes)) == (1, 1)
+
+    # the transverse entry is built once, and checks its own submersion once
+    for entry, calls, name in (
+        (linear, blocks, "parallel-transverse"),
+        (annulus, probes, "annulus-circular"),
+    ):
+        crossed = entry.transverse
+        assert crossed.name == name and entry.transverse is crossed
+        before = len(calls)
+        assert crossed.submersion is crossed.submersion
+        assert len(calls) == before + 1
+    # the condenser has neither
+    assert entries[-1].submersion is None and entries[-1].transverse is None

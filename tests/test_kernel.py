@@ -509,10 +509,12 @@ def test_batched_probe_rejects_a_mismatched_pair(monkeypatch):
         with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
             submersion_modulus(sub, radial.family, 2.0, quad)
     circles = catalog._annulus_circular
-    swapped = lambda inner, outer: replace(circles(inner, outer), submersion=radial.submersion)
+    swapped = lambda inner, outer: replace(circles(inner, outer), _submersion=lambda: radial.submersion)
     monkeypatch.setattr(catalog, "_annulus_circular", swapped)
+    # the probe runs when the swapped submersion is first read
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
     with pytest.raises(InconsistentSubmersion, match="catalog entry 'annulus-circular'"):
-        make_polar_annulus(1.0, 2.0, mode="radial")
+        entry.transverse.submersion
 
 
 def test_batched_probe_names_a_vanishing_area_factor():
@@ -597,6 +599,71 @@ def test_compose_matches_the_per_point_composition(analytic):
 def test_compose_jacobian_needs_both_factors():
     assert compose(_polar(), _bend_outer(jacobian=None)).jacobian is None
     assert compose(replace(_polar(), jacobian=None), _bend_outer()).jacobian is None
+
+
+def _linear_outer(c):
+    """The ambient map z -> c z, its Jacobian one matrix broadcast over the batch."""
+    jacobian = lambda z: np.broadcast_to(c, z.shape[:-1] + c.shape)
+    return AmbientMap(n=len(c), map=lambda z: z @ c.T, jacobian=jacobian)
+
+
+def _materialized(fam, outer):
+    """Twins of a family and an ambient map whose Jacobians are materialized copies."""
+    return (
+        replace(fam, jacobian=lambda x, y: np.array(fam.jacobian(x, y))),
+        replace(outer, jacobian=lambda z: np.array(outer.jacobian(z))),
+    )
+
+
+def test_a_composition_of_broadcast_matrices_gives_the_fields_of_its_copies(monkeypatch):
+    # two matrices broadcast over the batch compose to one, kept broadcast;
+    # its fields are those of the composition of materialized factors
+    rng = np.random.default_rng(67)
+    whole = family._CHUNK
+    for n, m in ((2, 1), (3, 1), (3, 2), (4, 2), (5, 3)):
+        a, c = well_conditioned(rng, n), well_conditioned(rng, n)
+        fam, outer = linear_family(a, _box(rng, n - m), _box(rng, m)), _linear_outer(c)
+        image, twin = compose(fam, outer), compose(*_materialized(fam, outer))
+        x, _ = random_nodes(rng, fam, 6)
+        _, y = random_nodes(rng, fam, 5)
+        assert family._jacobian_columns(image, x[:5], y).strides[0] == 0
+        assert family._jacobian_columns(twin, x[:5], y).strides[0] != 0
+        floor = 1e-3 * abs(np.linalg.det(c @ a))
+        for chunk in (whole, 7):
+            monkeypatch.setattr(family, "_CHUNK", chunk)
+            got = node_fields(image, x[:, None], y[None], floor=floor, images=True)
+            want = node_fields(twin, x[:, None], y[None], floor=floor, images=True)
+            for ours, theirs in zip(got, want):
+                if ours is not None:
+                    np.testing.assert_array_equal(ours, theirs)
+    # the registry's condenser, diag(sx, sy) on the unit parallel family
+    condenser = build_entry("condenser").family
+    x, y = random_nodes(rng, condenser, 4)
+    assert family._jacobian_columns(condenser, x, y).strides[0] == 0
+
+
+def test_a_composition_of_broadcast_matrices_fails_as_its_copies_do():
+    # a NaN in either factor, or a floor above |det|, names the same first node
+    a = np.array([[2.0, 0.5], [0.0, 1.5]])
+    c = np.array([[1.0, -0.3], [0.2, 0.8]])
+    spoiled = c.copy()
+    spoiled[1, 0] = np.nan
+    unit = BoxDomain([0.0], [1.0])
+    first = f"x={NODES_X[0]}, y={NODES_Y[0]}"
+    cases = (
+        (spoiled, c, None, EvaluationFailure, first),
+        (a, spoiled, None, EvaluationFailure, first),
+        (a, c, 10.0, DegenerateJacobian, first),
+    )
+    for inner, matrix, floor, error, named in cases:
+        fam, outer = linear_family(inner, unit, unit), _linear_outer(matrix)
+        messages = []
+        for factors in ((fam, outer), _materialized(fam, outer)):
+            with pytest.raises(error) as raised:
+                node_fields(compose(*factors), NODES_X[:, None], NODES_Y[None], floor=floor)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert named in messages[0], messages[0]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])

@@ -34,9 +34,11 @@ from surfmod import (
     make_shear,
     modulus_p,
     node_fields,
+    standard_entries,
     submersion_modulus,
 )
 from surfmod import family as family_module
+from surfmod import modulus as modulus_module
 
 QUAD = QuadratureScheme(order=10, subdivisions=3)
 
@@ -308,6 +310,81 @@ def test_jacobian_floor_scales_with_family():
     fam = make_polar_annulus(1.0, 2.0, mode="radial").family
     floor = jacobian_floor(fam)
     assert 0.0 < floor < 1e-10
+
+
+def _whole_grid_routes(entry, quad):
+    """The reports of the whole-grid routes on a catalog entry, and the probe's gap."""
+    fam = entry.family
+    reports = [modulus_p(fam, 2.5, quad), extremality_probe(fam, 2.5, quad, trials=3)]
+    if entry.submersion is not None:
+        reports.append(submersion_modulus(entry.submersion, fam, 2.5, quad))
+    return reports
+
+
+def test_whole_grid_routes_take_no_probe_floor(monkeypatch):
+    quad = QuadratureScheme(order=6, subdivisions=2)
+    entries = standard_entries(include_condenser=True)
+    before = [_whole_grid_routes(entry, quad) for entry in entries]
+
+    def refuse(fam):
+        raise AssertionError("jacobian_floor called")
+
+    monkeypatch.setattr(modulus_module, "jacobian_floor", refuse)
+    assert [_whole_grid_routes(entry, quad) for entry in entries] == before
+    # the extremal density evaluates single points: it keeps the probe floor
+    with pytest.raises(AssertionError, match="jacobian_floor called"):
+        extremal_density(entries[0].family, 2.5, quad)
+
+
+def _cusp_family(x_star):
+    """(x, y) -> ((x - x*)^3 / 3, x + y) on (0, 1) x (0, 2): |det J| is
+    (x - x*)^2, zero on the surface x = x*, and the area factor is 1."""
+
+    def jacobian(x, y):
+        out = np.zeros(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = (x[..., 0] - x_star) ** 2
+        out[..., 1, :] = 1.0
+        return out
+
+    return ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1.0]),
+        surface_box=BoxDomain([0.0], [2.0]),
+        map=lambda x, y: np.concatenate([(x - x_star) ** 3 / 3.0, x + y], -1),
+        jacobian=jacobian,
+    )
+
+
+def test_whole_grid_routes_name_the_first_degenerate_node(monkeypatch):
+    x_nodes, _ = QUAD.box_rule(BoxDomain([0.0], [1.0]))
+    y_nodes, _ = QUAD.box_rule(BoxDomain([0.0], [2.0]))
+    fam = _cusp_family(float(x_nodes[7, 0]))
+    # the floor from the grid's |det J|, by numpy's own det and median
+    x, y = np.broadcast_arrays(x_nodes[:, None], y_nodes[None])
+    dets = np.abs(np.linalg.det(fam.jacobian(x, y)))
+    floor = 1e-12 * np.median(dets)
+    expected = (
+        f"|det J| = {0.0:.3e} at x={x_nodes[7]}, y={y_nodes[0]} is below the degeneracy "
+        f"floor {floor:.3e}"
+    )
+    # z -> z_0 has the family's level sets but not its parameter: the
+    # floor is checked before the key relation
+    gradient = np.array([[1.0, 0.0]])
+    sub = Submersion(
+        n=2, k=1, map=lambda z: z[..., :1], jacobian=lambda z: np.broadcast_to(gradient, z.shape[:-1] + (1, 2))
+    )
+    routes = (
+        lambda: modulus_p(fam, 2.0, QUAD),
+        lambda: submersion_modulus(sub, fam, 2.0, QUAD),
+        lambda: extremality_probe(fam, 2.0, QUAD, trials=2),
+    )
+    for chunk in (family_module._CHUNK, 100):
+        monkeypatch.setattr(family_module, "_CHUNK", chunk)
+        for route in routes:
+            with pytest.raises(DegenerateJacobian) as raised:
+                route()
+            assert str(raised.value) == expected
 
 
 def test_extremal_density_parallel_constant():

@@ -71,21 +71,51 @@ def test_box_rule_tensor_structure():
     assert value == pytest.approx((1.0 / 3.0) * 4.0, rel=1e-13)
 
 
+def _linspace_rule(quad, lower, upper):
+    """The composite rule on (lower, upper) from ``np.linspace``'s cell edges."""
+    edges = np.linspace(lower, upper, quad.subdivisions + 1)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(quad.order)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return (centers[:, None] + half[:, None] * ref_nodes).ravel(), (half[:, None] * ref_weights).ravel()
+
+
+def _assert_linspace_rules(quad, box):
+    """axis_rule on every axis of ``box``, and box_rule as their meshgrid
+    product, equal the rules from np.linspace's edges bit for bit."""
+    rules = [_linspace_rule(quad, lo, hi) for lo, hi in zip(box.lower, box.upper)]
+    for (want_nodes, want_weights), lo, hi in zip(rules, box.lower, box.upper):
+        nodes, weights = quad.axis_rule(lo, hi)
+        np.testing.assert_array_equal(nodes, want_nodes)
+        np.testing.assert_array_equal(weights, want_weights)
+    node_mesh = np.meshgrid(*[nodes for nodes, _ in rules], indexing="ij")
+    weight_mesh = np.meshgrid(*[weights for _, weights in rules], indexing="ij")
+    reference = np.stack([g.ravel() for g in node_mesh], axis=-1)
+    reference_weights = np.ones(len(reference))
+    for g in weight_mesh:
+        reference_weights = reference_weights * g.ravel()
+    nodes, weights = quad.box_rule(box)
+    assert nodes.shape == reference.shape and weights.shape == reference_weights.shape
+    np.testing.assert_array_equal(nodes, reference)
+    np.testing.assert_array_equal(weights, reference_weights)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_box_rule_matches_a_meshgrid_reference(dim):
     box = BoxDomain(np.linspace(-1.0, 0.5, dim), np.linspace(0.3, 2.0, dim) ** 2)
     for quad in (QuadratureScheme(1, 1), QuadratureScheme(3, 2), QuadratureScheme(2, 3)):
-        rules = [quad.axis_rule(lo, hi) for lo, hi in zip(box.lower, box.upper)]
-        node_mesh = np.meshgrid(*[nodes for nodes, _ in rules], indexing="ij")
-        weight_mesh = np.meshgrid(*[weights for _, weights in rules], indexing="ij")
-        reference = np.stack([g.ravel() for g in node_mesh], axis=-1)
-        reference_weights = np.ones(len(reference))
-        for g in weight_mesh:
-            reference_weights = reference_weights * g.ravel()
-        nodes, weights = quad.box_rule(box)
-        assert nodes.shape == reference.shape and weights.shape == reference_weights.shape
-        np.testing.assert_array_equal(nodes, reference)
-        np.testing.assert_array_equal(weights, reference_weights)
+        _assert_linspace_rules(quad, box)
+
+
+def test_rules_have_the_cell_edges_of_linspace_at_any_scale():
+    # every axis's edges come from one expression, bit for bit linspace's
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        widths = 10.0 ** rng.uniform(-100, 100, dim)
+        lower = rng.uniform(-1.0, 1.0, dim) * widths * 10.0 ** rng.uniform(-3.0, 3.0, dim)
+        quad = QuadratureScheme(int(rng.integers(1, 6)), int(rng.integers(1, 7)))
+        _assert_linspace_rules(quad, BoxDomain(lower, lower + widths))
 
 
 def test_box_rule_convergence_of_midpoint():
