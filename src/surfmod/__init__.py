@@ -23,18 +23,14 @@ from .errors import (
 from .family import (
     AmbientMap,
     BoxDomain,
-    NodeFields,
     ParametrizedFamily,
     Submersion,
     compose,
     evaluate_map,
     jacobian_full,
     jacobian_partial_y,
-    key_relation_residual,
-    node_fields,
     submersion_jacobian,
 )
-from .linalg import companion_block, generalized_norm, verify_factorization
 from .quadrature import QuadratureScheme
 from .modulus import (
     ExtremalDensity,
@@ -87,7 +83,6 @@ __all__ = [
     "InversionFailure",
     "ModulusReport",
     "NoConvergence",
-    "NodeFields",
     "NonFiniteIntegrand",
     "ParametrizedFamily",
     "QuadratureScheme",
@@ -98,7 +93,6 @@ __all__ = [
     "available_families",
     "build_entry",
     "coarea_check",
-    "companion_block",
     "compose",
     "conjugate_exponent",
     "cross_validate",
@@ -107,21 +101,17 @@ __all__ = [
     "evaluate_map",
     "extremal_density",
     "extremality_probe",
-    "generalized_norm",
     "jacobian_floor",
     "jacobian_full",
     "jacobian_partial_y",
-    "key_relation_residual",
     "make_condenser",
     "make_parallel",
     "make_polar_annulus",
     "make_pq_map",
     "make_shear",
     "modulus_p",
-    "node_fields",
     "solve_discrete",
     "standard_entries",
     "submersion_jacobian",
     "submersion_modulus",
-    "verify_factorization",
 ]

@@ -20,16 +20,13 @@ from .errors import ConfigError
 from .family import (
     AmbientMap,
     BoxDomain,
-    NodeFields,
     ParametrizedFamily,
     Submersion,
-    _check_key_relation,
     _paired,
-    _probe_key_relation,
     compose,
     key_relation_residual,  # noqa: F401 -- traced here by perfbench/spans.py
 )
-from .linalg import _stacked_abs_det, companion_block, stacked_norm
+from .linalg import companion_block
 from .modulus import _TINY, conjugate_exponent, modulus_p
 from .quadrature import QuadratureScheme
 
@@ -45,11 +42,6 @@ __all__ = [
     "available_families",
     "standard_entries",
 ]
-
-# Largest area-factor residual tolerated when probing that a catalog
-# submersion really describes the family's surfaces.
-_PROBE_TOL = 1e-5
-
 
 def default_quadrature() -> QuadratureScheme:
     """Gauss-Legendre rule of order 12 on 4 cells per axis."""
@@ -74,12 +66,12 @@ class CatalogEntry:
     provides none.
 
     Both are built when first read, by the zero-argument builders
-    ``_submersion`` and ``_transverse``, and kept: a submersion with the
-    check that it matches the family (the companion block and its key
-    relation for a linear entry, the probe for an annulus entry), a
-    transverse entry whole.  A caller of the modulus layer that reads
-    neither never pays for them, and a failed check raises at the first
-    read, not at construction.
+    ``_submersion`` and ``_transverse``, and kept.  A caller of the
+    modulus layer that reads neither never pays for them.  Building a
+    submersion checks nothing against the family, except that a linear
+    entry's companion block needs an invertible matrix: the key relation
+    between the two is checked at every quadrature node by the route that
+    integrates it, :func:`~surfmod.modulus.submersion_modulus`.
     """
 
     name: str
@@ -125,14 +117,13 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
     """The linear family w -> L w on U x V, with its closed form.
 
     The submersion is z -> B z, with B the companion block of L
-    (B L = (I | 0)), so its level sets are the family's surfaces.  L is
-    the Jacobian at every node and B the submersion's derivative, so the
-    key relation |L_y| = |det L| * |B| is checked once, on L and B, with
-    the node kernel's own norms; its residual is the one a probe would
-    find at each of its nodes.  B and that check are formed when the
-    entry's ``submersion`` is first read, not here.  With
-    L_y the last m columns of L, A = sqrt(det(L_y^T L_y)) and J = |det L|,
-    every surface weighs l = vol(V) * A^q * J^(1-q), hence
+    (B L = (I | 0)), so its level sets are the family's surfaces and the
+    key relation |L_y| = |det L| * |B| holds at every node;
+    :func:`~surfmod.modulus.submersion_modulus` checks it there.  B is
+    formed when the entry's ``submersion`` is first read, not here, and a
+    singular L raises SingularMatrix then.  With L_y the last m columns
+    of L, A = sqrt(det(L_y^T L_y)) and J = |det L|, every surface weighs
+    l = vol(V) * A^q * J^(1-q), hence
 
         modulus_p = vol(U) * l^(1-p),
 
@@ -156,12 +147,6 @@ def _linear_entry(name: str, L, u: BoxDomain, v: BoxDomain, parameters: Mapping,
 
     def submersion():
         b = companion_block(L, m)
-        dets, areas = _stacked_abs_det(L[None]), stacked_norm(L[None, :, k:])
-        fields = NodeFields(dets, areas, gradients=stacked_norm(b[None]))
-        # L_y is the same at every node: a vanishing one is named at the
-        # quarter-width node, the first that _probe_key_relation's grid names.
-        x, y = u.lower + u.widths / 4, v.lower + v.widths / 4
-        _check_key_relation(fields, x, y, _PROBE_TOL, f"catalog entry {name!r}")
         return Submersion(n=n, k=k, map=lambda z: z @ b.T, jacobian=_constant(b))
 
     # numpy's det, not the node kernel, keeps the closed form independent
@@ -320,17 +305,6 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
     )
 
 
-def _probed(entry: CatalogEntry) -> CatalogEntry:
-    """``entry`` with its submersion probed against its family on first read."""
-
-    def submersion():
-        sub = entry._submersion()
-        _probe_key_relation(entry.family, sub, _PROBE_TOL, f"catalog entry {entry.name!r}")
-        return sub
-
-    return replace(entry, _submersion=submersion)
-
-
 def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "radial") -> CatalogEntry:
     """Annulus families in the plane: radial segments or concentric circles.
 
@@ -339,7 +313,9 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
     1 / (|z| log(r1/r0)).  mode="circular" sweeps the concentric circles
     and at p=2 yields the reciprocal-type value log(r1/r0) / (2*pi).
     Each entry's ``transverse`` is the other one.  An entry's submersion
-    is probed against its family on a coarse grid when first read.
+    (the angle or the radius) is built when first read; the key relation
+    between it and the family is checked at every quadrature node by
+    :func:`~surfmod.modulus.submersion_modulus`.
     """
     inner = float(inner_radius)
     outer = float(outer_radius)
@@ -347,8 +323,8 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
         raise ValueError(f"radii must satisfy 0 < r0 < r1, got ({inner_radius}, {outer_radius})")
     if mode not in ("radial", "circular"):
         raise ValueError(f"mode must be 'radial' or 'circular', got {mode!r}")
-    radial = _probed(_annulus_radial(inner, outer))
-    circular = _probed(_annulus_circular(inner, outer))
+    radial = _annulus_radial(inner, outer)
+    circular = _annulus_circular(inner, outer)
     if mode == "radial":
         return replace(radial, _transverse=lambda: replace(circular, _transverse=lambda: radial))
     return replace(circular, _transverse=lambda: replace(radial, _transverse=lambda: circular))

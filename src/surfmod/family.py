@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateJacobian, EvaluationFailure, InconsistentSubmersion, NonFiniteIntegrand
+from .errors import DegenerateJacobian, EvaluationFailure, NonFiniteIntegrand
 from .linalg import generalized_norm  # noqa: F401 -- traced here by perfbench/spans.py
 from .linalg import _stacked_abs_det, stacked_norm
 
@@ -474,17 +474,6 @@ def _defects(fields: NodeFields, x, y) -> np.ndarray:
     return np.abs(fields.areas - fields.dets * fields.gradients) / fields.areas
 
 
-def _check_key_relation(fields: NodeFields, x, y, tol: float, label: str):
-    """Raise InconsistentSubmersion, with ``label`` naming the pair, when a
-    residual of the fields of the nodes (x, y) exceeds ``tol``."""
-    worst = float(_defects(fields, x, y).max())
-    if not worst <= tol:
-        raise InconsistentSubmersion(
-            f"{label}: area-factor residual {worst:.3e} exceeds {tol:.1e}; the "
-            f"submersion's level sets do not match the family"
-        )
-
-
 def _key_relation_residuals(fam: ParametrizedFamily, sub: Submersion, x, y) -> np.ndarray:
     """Residuals of :func:`key_relation_residual` at the broadcast nodes (x, y)."""
     _check_pair(fam, sub)
@@ -504,31 +493,6 @@ def key_relation_residual(fam: ParametrizedFamily, sub: Submersion, x, y) -> flo
     x = _point(x, fam.n - fam.m, "x")
     y = _point(y, fam.m, "y")
     return float(_key_relation_residuals(fam, sub, x, y))
-
-
-def _probe_points(box: BoxDomain) -> np.ndarray:
-    """The probe points of ``box``: its quarter and three-quarter points
-    on every axis, combined as ``grid(2)`` does, then its center.
-
-    The same points as ``grid(2)`` and ``grid(1)``, in a third of their
-    time: the annulus entries probe twice per build.
-    """
-    unit = np.vstack([_product([[0.25, 0.75]] * box.dim), np.full((1, box.dim), 0.5)])
-    return box.lower + box.widths * unit
-
-
-def _probe_key_relation(fam: ParametrizedFamily, sub: Submersion, tol: float, label: str):
-    """Check the area-factor identity on a coarse probe grid, in one batch.
-
-    The probes pair every point of the 2-per-axis and the center grid of
-    the parameter box with every such point of the surface box.  A
-    residual above ``tol`` anywhere raises InconsistentSubmersion, with
-    ``label`` naming the pair; a vanishing area factor raises
-    DegenerateJacobian.
-    """
-    _check_pair(fam, sub)
-    x, y = _probe_points(fam.param_box)[:, None], _probe_points(fam.surface_box)[None]
-    _check_key_relation(node_fields(fam, x, y, submersion=sub), x, y, tol, label)
 
 
 def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:

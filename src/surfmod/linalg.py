@@ -21,7 +21,6 @@ __all__ = [
     "generalized_norm",
     "stacked_norm",
     "companion_block",
-    "verify_factorization",
 ]
 
 # Reciprocal condition number below which a matrix is treated as singular.
@@ -154,23 +153,3 @@ def companion_block(a, m: int) -> np.ndarray:
     rhs = np.eye(n)[:, : n - m]
     return np.linalg.solve(a.T, rhs).T
 
-
-def verify_factorization(a, m: int) -> tuple[float, float]:
-    """Evaluate both sides of the companion-block norm identity.
-
-    For invertible A, the norm of its last m columns factors as the
-    absolute determinant of A times the norm of the companion block:
-    |A'| = |det A| * |B|.  This function returns the two sides so callers
-    can compare them at whatever tolerance the context demands.
-
-    Returns
-    -------
-    (lhs, rhs) : tuple of float
-        lhs is the generalized norm of the last m columns of ``a``;
-        rhs is generalized_norm(a) * generalized_norm(companion_block(a, m)).
-    """
-    a = _as_matrix(a)
-    b = companion_block(a, m)
-    lhs = generalized_norm(a[:, a.shape[0] - m :])
-    rhs = generalized_norm(a) * generalized_norm(b)
-    return lhs, rhs

@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family as _family
-from .errors import DegenerateJacobian, InversionFailure, NonFiniteIntegrand
+from .errors import DegenerateJacobian, InconsistentSubmersion, InversionFailure, NonFiniteIntegrand
 from .family import (
     NodeFields,
     ParametrizedFamily,
     Submersion,
-    _check_key_relation,
     _check_pair,
     _count,
+    _defects,
     _pairs,
     _point,
     _stacked_map,
@@ -79,6 +79,14 @@ _L_FLOOR = 1e-300
 
 # The smallest normal float.
 _TINY = float(np.finfo(float).tiny)
+
+# Largest relative residual of the key relation |A| = |det J| |DF| that
+# submersion_modulus accepts at a node.
+_RESIDUAL_TOL = 1e-5
+
+# Largest wave amplitude of an extremality_probe competitor, as a fraction
+# of the density's minimum: below 1, so every competitor stays positive.
+_AMPLITUDE = 0.3
 
 
 def conjugate_exponent(p: float) -> float:
@@ -504,30 +512,34 @@ def submersion_modulus(
     levelset_param: ParametrizedFamily,
     p: float,
     quad: QuadratureScheme,
-    residual_tol: float = 1e-4,
 ) -> ModulusReport:
     """p-modulus computed through a submersion describing the level sets.
 
     The surface weight is obtained by integrating the (q-1) power of the
-    submersion's area factor over each level set.  The consistency of the
-    submersion with the parametrization is checked on the fields of the
-    quadrature grid, at every node: a vanishing area factor raises
-    DegenerateJacobian, and an area-factor residual above
-    ``residual_tol`` anywhere raises InconsistentSubmersion.  A |det J|
-    at or below the degeneracy floor, 1e-12 times the median |det J|
-    over the same grid, raises DegenerateJacobian before either, and a
-    rank-deficient submersion differential after them.
+    submersion's area factor over each level set.  This is the one place
+    where a submersion is checked against the family it stands for: the
+    key relation |A| = |det J| |DF| between the area factor A of the
+    surfaces, the Jacobian J of the family and the derivative DF of the
+    submersion is checked on the fields of the quadrature grid, at every
+    node.  A vanishing area factor raises DegenerateJacobian, and a
+    relative residual above 1e-5 raises InconsistentSubmersion, naming
+    the first such node's image in C order.  A rank-deficient DF has
+    residual 1, so it raises there too.  A |det J| at or below the
+    degeneracy floor, 1e-12 times the median |det J| over the same grid,
+    raises DegenerateJacobian before either.
     """
     q = conjugate_exponent(p)
     fam = levelset_param
     _check_pair(fam, sub)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
     fields = _grid_fields(fam, x_nodes, y_nodes, submersion=sub)
-    _check_key_relation(fields, x_nodes[:, None], y_nodes[None], residual_tol, "submersion_modulus")
+    residuals = _defects(fields, x_nodes[:, None], y_nodes[None])
     _raise_first(
-        ~(fields.gradients > 0.0),
-        DegenerateJacobian,
-        lambda i, j: f"submersion differential is rank-deficient at z={fields.images[i, j]}",
+        ~(residuals <= _RESIDUAL_TOL),
+        InconsistentSubmersion,
+        lambda i, j: f"submersion_modulus: area-factor residual {residuals[i, j]:.3e} at "
+        f"z={fields.images[i, j]} exceeds {_RESIDUAL_TOL:.1e}; the submersion's level "
+        "sets do not match the family",
     )
     level = _power(fields.gradients, 1.0, q - 1.0, factor=fields.areas) @ y_weights
     _check_weights(level, x_nodes, "level-set weight")
@@ -575,14 +587,13 @@ def extremality_probe(
     quad: QuadratureScheme,
     trials: int = 50,
     seed: int = 0,
-    amplitude: float = 0.3,
 ) -> float:
     """Worst p-energy gap of random admissible competitors.
 
     Each trial perturbs the extremal density by a product of low-order
     cosine waves in the parameter coordinates, with amplitude capped at
-    ``amplitude`` times the density's minimum over the quadrature nodes
-    (so competitors stay positive), then rescales by the smallest surface
+    0.3 times the density's minimum over the quadrature nodes (so
+    competitors stay positive), then rescales by the smallest surface
     integral to restore admissibility and evaluates the p-energy by
     pullback.  Returns min over trials of (competitor energy - modulus);
     extremality of the density makes this nonnegative up to rounding.
@@ -605,13 +616,11 @@ def extremality_probe(
     a competitor whose rho^p overflows while its energy does not still
     has that energy.
 
-    ``trials`` must be an integer of at least 1 and ``amplitude`` lie in
-    [0, 1), else ValueError; a competitor whose energy is not finite and
-    positive raises NonFiniteIntegrand, naming the first such trial.
+    ``trials`` must be an integer of at least 1, else ValueError; a
+    competitor whose energy is not finite and positive raises
+    NonFiniteIntegrand, naming the first such trial.
     """
     trials = _count(trials, "trials")
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError(f"amplitude must lie in [0, 1), got {amplitude!r}")
     q = conjugate_exponent(p)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
     l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights)
@@ -622,7 +631,7 @@ def extremality_probe(
     rng = np.random.default_rng(seed)
     orders = rng.integers(1, 4, size=(trials, fam.n))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(trials, fam.n))
-    amps = amplitude * float(density.min()) * rng.uniform(0.1, 1.0, size=trials)
+    amps = _AMPLITUDE * float(density.min()) * rng.uniform(0.1, 1.0, size=trials)
     own_integrals = np.einsum("ij,ij,j->i", density, fields.areas, y_weights)
 
     # Batches of `group` trials times `rows` x rows, at most _CHUNK values.

@@ -63,6 +63,10 @@ __all__ = [
 # Samples per block in discretize_family; bounds its temporaries.
 _SAMPLE_BLOCK = 1 << 13
 
+# Margin of discretize_family's grid around the image's bounding box, as
+# a fraction of its span on every side.
+_PADDING = 0.02
+
 # Projected Newton: Marquardt damping at unit projected gradient, Armijo
 # fraction of the predicted decrease, and step halvings before giving up.
 _DAMPING = 1e-2
@@ -171,15 +175,12 @@ def discretize_family(
     cells_per_axis: int,
     surfaces_count: int,
     samples_per_surface: int,
-    padding: float = 0.02,
     rng: np.random.Generator | None = None,
 ) -> DiscreteModulusProblem:
     """Sample a family into a discrete modulus program.
 
     A bounding box of the swept region is estimated from forward images
-    and padded by ``padding`` of its span on every side (a finite value
-    of at least 0, else ValueError: a negative one would cut the image
-    off the grid), then split into
+    and padded by 2% of its span on every side, then split into
     ``cells_per_axis`` uniform cells per ambient axis.  For each of the
     parameter values on a uniform grid (``surfaces_count`` per parameter
     axis), the surface is sampled at ``samples_per_surface`` points per
@@ -216,8 +217,6 @@ def discretize_family(
     cells_per_axis = _count(cells_per_axis, "cells_per_axis")
     surfaces_count = _count(surfaces_count, "surfaces_count")
     samples_per_surface = _count(samples_per_surface, "samples_per_surface")
-    if not (np.isfinite(padding) and padding >= 0.0):
-        raise ValueError(f"padding must be finite and >= 0, got {padding!r}")
 
     # Padded bounding box of the image, from an endpoint-touching probe grid.
     probe_per_axis = 33 if fam.n <= 2 else (17 if fam.n == 3 else 9)
@@ -233,8 +232,8 @@ def discretize_family(
     box_hi = images.max(axis=0)
     span = box_hi - box_lo
     span = np.where(span > 0.0, span, 1.0)
-    box_lo = box_lo - padding * span
-    box_hi = box_hi + padding * span
+    box_lo = box_lo - _PADDING * span
+    box_hi = box_hi + _PADDING * span
 
     cell_widths = (box_hi - box_lo) / cells_per_axis
     n_cells = cells_per_axis**fam.n

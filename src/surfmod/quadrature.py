@@ -55,13 +55,6 @@ class QuadratureScheme:
         weights = half[:, None] * ref_weights[:, None]
         return nodes.reshape(-1, len(lower)), weights.reshape(-1, len(lower))
 
-    def axis_rule(self, lower: float, upper: float):
-        """Composite 1-d rule on (lower, upper): returns (nodes, weights)."""
-        if not lower < upper:
-            raise ValueError(f"need lower < upper, got ({lower}, {upper})")
-        nodes, weights = self._rules(np.array([lower], dtype=float), np.array([upper], dtype=float))
-        return nodes[:, 0], weights[:, 0]
-
     def box_rule(self, box: BoxDomain):
         """Tensor-product rule over a box: nodes of shape (N, dim), weights (N,)."""
         nodes, axis_weights = self._rules(box.lower, box.upper)

@@ -11,6 +11,7 @@ from surfmod import (
     QuadratureScheme,
     available_families,
     build_entry,
+    coarea_check,
     conjugate_exponent,
     default_quadrature,
     extremal_density,
@@ -300,28 +301,66 @@ def test_expected_density_admissibility_scale():
     assert sheared.expected_density(2.0) * np.sqrt(2.0) == pytest.approx(1.0)
 
 
-def test_linear_entries_check_the_key_relation_on_their_matrix(monkeypatch):
-    # a companion block off by 1% breaks |L_y| = |det L| |B| at every node
+def _scale_companion_blocks(monkeypatch):
+    """Make every linear entry built from here on form 1.01 times its companion block."""
     companion_block = catalog.companion_block
     monkeypatch.setattr(catalog, "companion_block", lambda a, m: 1.01 * companion_block(a, m))
-    # the check runs when the submersion is first read, not at the build
+
+
+def test_linear_entries_check_the_key_relation_on_their_matrix(monkeypatch):
+    # a companion block off by 1% breaks |L_y| = |det L| |B| at every node
+    _scale_companion_blocks(monkeypatch)
     shear = make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]])
-    with pytest.raises(InconsistentSubmersion, match="catalog entry 'shear'"):
-        shear.submersion
     parallel = make_parallel([(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0)])
-    with pytest.raises(InconsistentSubmersion, match="catalog entry 'parallel'"):
-        parallel.submersion
-    with pytest.raises(InconsistentSubmersion, match="catalog entry 'parallel-transverse'"):
-        parallel.transverse.submersion
+    for entry in (shear, parallel, parallel.transverse):
+        # reading the submersion forms B and checks nothing against the
+        # family; the routes that integrate the pair see the mismatch
+        sub = entry.submersion
+        with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
+            submersion_modulus(sub, entry.family, 2.0, LIGHT)
+        lhs, rhs = coarea_check(entry.family, sub, lambda z: 1.0, LIGHT)
+        assert abs(lhs - rhs) > 1e-8 * abs(rhs), entry.name
+
+
+def _own(entry):
+    return entry.family, entry.submersion
+
+
+def _swapped(mode):
+    entry = make_polar_annulus(1.0, 2.0, mode=mode)
+    return entry.family, entry.transverse.submersion
+
+
+# Every catalog construction with a submersion, paired with one whose
+# level sets are not its surfaces: a linear entry or its transverse entry
+# with its companion block scaled by 1.01, an annulus mode with the other
+# mode's submersion.
+MISMATCHED_PAIRS = {
+    "parallel": lambda: _own(make_parallel([(0.0, 1.0), (0.0, 1.0)], [(0.0, 1.0)])),
+    "parallel-transverse": lambda: _own(make_parallel([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)]).transverse),
+    "shear": lambda: _own(make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]])),
+    "pq-map": lambda: _own(make_pq_map(2.5)),
+    "pq-map-transverse": lambda: _own(make_pq_map(2.5).transverse),
+    "annulus-radial": lambda: _swapped("radial"),
+    "annulus-circular": lambda: _swapped("circular"),
+}
+
+
+@pytest.mark.parametrize("name", list(MISMATCHED_PAIRS))
+def test_submersion_modulus_rejects_a_mismatched_pair_of_every_construction(name, monkeypatch):
+    _scale_companion_blocks(monkeypatch)
+    fam, sub = MISMATCHED_PAIRS[name]()
+    with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
+        submersion_modulus(sub, fam, 2.0, LIGHT)
 
 
 def _counted(monkeypatch, name):
     """Calls of ``catalog.<name>``, counted in a list that grows per call."""
     calls, original = [], getattr(catalog, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(catalog, name, counted)
     return calls
@@ -329,7 +368,7 @@ def _counted(monkeypatch, name):
 
 def test_entries_build_their_submersion_and_transverse_on_first_read(monkeypatch):
     blocks = _counted(monkeypatch, "companion_block")
-    probes = _counted(monkeypatch, "_probe_key_relation")
+    builds = _counted(monkeypatch, "Submersion")
     entries = [
         make_parallel([(0.0, 1.0)], [(0.0, 2.0)]),
         make_shear([(0.0, 1.0)], [(0.0, 1.0), (0.0, 2.0)], [[0.5, -0.3]]),
@@ -340,30 +379,29 @@ def test_entries_build_their_submersion_and_transverse_on_first_read(monkeypatch
         build_entry("annulus-circular"),
         build_entry("condenser"),
     ]
-    # no build forms a companion block or probes a submersion
-    assert (len(blocks), len(probes)) == (0, 0)
+    # no build forms a companion block or a submersion
+    assert (len(blocks), len(builds)) == (0, 0)
     for entry in entries:
         modulus_p(entry.family, 2.0, LIGHT)
         extremal_density(entry.family, 2.0, LIGHT)
-    assert (len(blocks), len(probes)) == (0, 0)
+    assert (len(blocks), len(builds)) == (0, 0)
 
     linear, annulus = entries[0], entries[2]
-    for entry, calls in ((linear, blocks), (annulus, probes)):
+    for entry in (linear, annulus):
+        before = len(builds)
         first = entry.submersion
-        assert len(calls) == 1
+        assert len(builds) == before + 1
         assert entry.submersion is first
-        assert len(calls) == 1
-    assert (len(blocks), len(probes)) == (1, 1)
+        assert len(builds) == before + 1
+    assert (len(blocks), len(builds)) == (1, 2)
 
-    # the transverse entry is built once, and checks its own submersion once
-    for entry, calls, name in (
-        (linear, blocks, "parallel-transverse"),
-        (annulus, probes, "annulus-circular"),
-    ):
+    # the transverse entry is built once, and builds its own submersion once
+    for entry, name in ((linear, "parallel-transverse"), (annulus, "annulus-circular")):
         crossed = entry.transverse
         assert crossed.name == name and entry.transverse is crossed
-        before = len(calls)
+        before = len(builds)
         assert crossed.submersion is crossed.submersion
-        assert len(calls) == before + 1
+        assert len(builds) == before + 1
+    assert len(blocks) == 2
     # the condenser has neither
     assert entries[-1].submersion is None and entries[-1].transverse is None

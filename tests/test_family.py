@@ -13,9 +13,9 @@ from surfmod import (
     evaluate_map,
     jacobian_full,
     jacobian_partial_y,
-    key_relation_residual,
     submersion_jacobian,
 )
+from surfmod.family import key_relation_residual
 
 from _oracles import well_conditioned
 
@@ -45,6 +45,9 @@ def test_box_validation():
         BoxDomain([0.0, 0.0], [1.0])
     with pytest.raises(ValueError):
         BoxDomain([1.0], [0.0])
+    # an empty interval, on which no quadrature rule is built
+    with pytest.raises(ValueError):
+        BoxDomain([1.0], [1.0])
     with pytest.raises(ValueError):
         BoxDomain([0.0], [np.inf])
 

@@ -19,17 +19,17 @@ from surfmod import (
     Submersion,
     build_entry,
     catalog,
+    coarea_check,
     compose,
     discretize_family,
     family,
-    key_relation_residual,
     make_parallel,
     make_polar_annulus,
     make_shear,
     modulus_p,
-    node_fields,
     submersion_modulus,
 )
+from surfmod.family import key_relation_residual, node_fields
 
 from _oracles import minor_sum_norm, well_conditioned
 
@@ -511,19 +511,25 @@ def test_batched_probe_rejects_a_mismatched_pair(monkeypatch):
     circles = catalog._annulus_circular
     swapped = lambda inner, outer: replace(circles(inner, outer), _submersion=lambda: radial.submersion)
     monkeypatch.setattr(catalog, "_annulus_circular", swapped)
-    # the probe runs when the swapped submersion is first read
-    entry = make_polar_annulus(1.0, 2.0, mode="radial")
-    with pytest.raises(InconsistentSubmersion, match="catalog entry 'annulus-circular'"):
-        entry.transverse.submersion
+    # reading the swapped submersion checks nothing against the family; the
+    # routes that integrate the pair see the mismatch
+    crossed = make_polar_annulus(1.0, 2.0, mode="radial").transverse
+    sub = crossed.submersion
+    with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
+        submersion_modulus(sub, crossed.family, 2.0, quad)
+    lhs, rhs = coarea_check(crossed.family, sub, lambda z: 1.0, quad)
+    assert abs(lhs - rhs) > 1e-8 * abs(rhs)
 
 
 def test_batched_probe_names_a_vanishing_area_factor():
     # the surface direction is mapped to zero, so the area factor vanishes
+    # at every node of the grid, and the first one is named
     a = np.array([[1.0, 0.0], [0.0, 0.0]])
     fam = linear_family(a, BoxDomain([0.0], [1.0]), BoxDomain([0.0], [1.0]))
     sub = linear_submersion(np.array([[1.0, 0.0]]))
+    x, y = np.array([[0.25], [0.75]]), np.array([[0.25], [0.5]])
     with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.25], y=[0.25]")):
-        family._probe_key_relation(fam, sub, 1e-5, "flat")
+        family._key_relation_residuals(fam, sub, x[:, None], y[None])
 
 
 def test_key_relation_residual_matches_the_reference():
@@ -702,3 +708,26 @@ def test_compose_names_the_first_bad_node_of_either_factor():
         shape = "(4, 4)" if label == "map" else "(4, 2, 4)"
         with pytest.raises(EvaluationFailure, match=re.escape(shape)):
             node_fields(compose(_polar(), outer), NODES_X, NODES_Y, images=True)
+
+
+def test_kernel_internals_stay_in_their_modules():
+    # the node kernel and the companion-block lemma are imported from
+    # surfmod.family and surfmod.linalg, not from the package root
+    import surfmod
+
+    assert sorted(surfmod.__all__) == sorted([
+        "AmbientMap", "BoxDomain", "CatalogEntry", "ConfigError", "CrossValidationRow",
+        "DegenerateJacobian", "DiscreteModulusProblem", "DiscreteSolution", "EvaluationFailure",
+        "ExtremalDensity", "InconsistentSubmersion", "InfeasibleSurface", "InversionFailure",
+        "ModulusReport", "NoConvergence", "NonFiniteIntegrand", "ParametrizedFamily",
+        "QuadratureScheme", "SingularMatrix", "Submersion", "SurfmodError",
+        "admissibility_check", "available_families", "build_entry", "coarea_check", "compose",
+        "conjugate_exponent", "cross_validate", "default_quadrature", "discretize_family",
+        "evaluate_map", "extremal_density", "extremality_probe", "jacobian_floor",
+        "jacobian_full", "jacobian_partial_y", "make_condenser", "make_parallel",
+        "make_polar_annulus", "make_pq_map", "make_shear", "modulus_p", "solve_discrete",
+        "standard_entries", "submersion_jacobian", "submersion_modulus",
+    ])
+    assert all(hasattr(surfmod, name) for name in surfmod.__all__)
+    for name in ("node_fields", "NodeFields", "key_relation_residual", "generalized_norm", "companion_block"):
+        assert not hasattr(surfmod, name), name

@@ -33,12 +33,12 @@ from surfmod import (
     make_polar_annulus,
     make_shear,
     modulus_p,
-    node_fields,
     standard_entries,
     submersion_modulus,
 )
 from surfmod import family as family_module
 from surfmod import modulus as modulus_module
+from surfmod.family import key_relation_residual, node_fields
 
 QUAD = QuadratureScheme(order=10, subdivisions=3)
 
@@ -609,8 +609,8 @@ def test_inconsistent_submersion_rejected():
 
 def test_submersion_modulus_checks_every_quadrature_node():
     # z -> z_0 on the unit parallel family, with the Jacobian
-    # (1 + 0.5 sin^2(4 pi z_0), 0): right where the sine vanishes, at the
-    # probe points z_0 = 1/4, 1/2, 3/4, and off by up to a third between
+    # (1 + 0.5 sin^2(4 pi z_0), 0): right where the sine vanishes, at
+    # z_0 = 1/4, 1/2, 3/4, and off by up to a third between
     def jacobian(z):
         out = np.zeros(z.shape[:-1] + (1, 2))
         out[..., 0, 0] = 1.0 + 0.5 * np.sin(4.0 * np.pi * z[..., 0]) ** 2
@@ -618,27 +618,34 @@ def test_submersion_modulus_checks_every_quadrature_node():
 
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     wavy = Submersion(n=2, k=1, map=lambda z: z[..., :1], jacobian=jacobian)
-    family_module._probe_key_relation(fam, wavy, 1e-4, "probe")
+    # a check at those points alone, as a coarse probe grid makes, passes
+    for x in (0.25, 0.5, 0.75):
+        for y in (0.25, 0.5, 0.75):
+            assert key_relation_residual(fam, wavy, [x], [y]) < 1e-15
     with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
         submersion_modulus(wavy, fam, 2.0, QUAD)
 
 
 def test_flat_submersion_names_the_first_image():
-    # a zero differential passes a consistency probe this loose, then fails
-    # at the first quadrature node
+    # a zero differential has residual 1 at every node, so the check of
+    # the key relation names the first quadrature node's image
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
     flat = Submersion(
         n=2, k=1, map=lambda z: 0.0 * z[..., :1], jacobian=lambda z: np.zeros(z.shape[:-1] + (1, 2))
     )
     z = evaluate_map(fam, QUAD.box_rule(fam.param_box)[0][0], QUAD.box_rule(fam.surface_box)[0][0])
-    with pytest.raises(DegenerateJacobian) as raised:
-        submersion_modulus(flat, fam, 2.0, QUAD, residual_tol=10)
-    assert str(raised.value) == f"submersion differential is rank-deficient at z={z}"
+    with pytest.raises(InconsistentSubmersion) as raised:
+        submersion_modulus(flat, fam, 2.0, QUAD)
+    assert str(raised.value) == (
+        f"submersion_modulus: area-factor residual 1.000e+00 at z={z} exceeds 1.0e-05; "
+        "the submersion's level sets do not match the family"
+    )
 
 
-def test_extremality_zero_amplitude_gap_vanishes():
+def test_extremality_zero_amplitude_gap_vanishes(monkeypatch):
+    monkeypatch.setattr(modulus_module, "_AMPLITUDE", 0.0)
     fam = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
-    gap = extremality_probe(fam, 2.0, QUAD, trials=3, amplitude=0.0)
+    gap = extremality_probe(fam, 2.0, QUAD, trials=3)
     assert abs(gap) < 1e-10
 
 
@@ -660,26 +667,17 @@ def test_extremality_probe_needs_trials():
             extremality_probe(fam, 2.0, QUAD, trials=bad)
 
 
-def test_extremality_probe_checks_amplitude():
-    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
-    # from amplitude 1 on competitors can turn negative and their energy
-    # NaN; the probe used to skip those trials, or return inf for NaN
-    for bad in (1.0, 1.5, -0.1, np.nan):
-        with pytest.raises(ValueError, match=r"amplitude must lie in \[0, 1\)"):
-            extremality_probe(fam, 2.5, QUAD, trials=20, amplitude=bad)
-    assert extremality_probe(fam, 2.5, QUAD, trials=2, amplitude=0.99) >= -1e-9
-
-
-def test_extremality_probe_raises_on_a_non_finite_competitor_energy():
+def test_extremality_probe_raises_on_a_non_finite_competitor_energy(monkeypatch):
+    monkeypatch.setattr(modulus_module, "_AMPLITUDE", 0.9)
     # a modulus of 1.79e308 is finite, and a competitor's energy above it overflows
     a = 1.79e308 ** (-1.0 / 3.0)
     fam = constant_jacobian_family(np.diag([1.0 / a, a]))
     assert np.isfinite(modulus_p(fam, 3.0, QUAD).modulus)
     with pytest.raises(NonFiniteIntegrand, match="p-energy of competitor 0 is inf"):
-        extremality_probe(fam, 3.0, QUAD, trials=3, amplitude=0.9)
+        extremality_probe(fam, 3.0, QUAD, trials=3)
 
 
-def _probe_reference(fam, p, quad, trials, seed, amplitude=0.3):
+def _probe_reference(fam, p, quad, trials, seed):
     """Each trial's competitor and p-energy, and the modulus, one trial at
     a time from the probe's three bulk draws."""
     density = extremal_density(fam, p, quad)
@@ -699,7 +697,7 @@ def _probe_reference(fam, p, quad, trials, seed, amplitude=0.3):
     for trial in range(trials):
         wave_x = np.cos(2.0 * np.pi * orders[trial, :k] * tx + phases[trial, :k]).prod(axis=1)
         wave_y = np.cos(2.0 * np.pi * orders[trial, k:] * ty + phases[trial, k:]).prod(axis=1)
-        competitor = values + amplitude * values.min() * amps[trial] * np.outer(wave_x, wave_y)
+        competitor = values + modulus_module._AMPLITUDE * values.min() * amps[trial] * np.outer(wave_x, wave_y)
         competitor = competitor / ((competitor * fields.areas) @ y_weights).min()
         competitors.append(competitor)
         energies.append(x_weights @ ((competitor**p * fields.dets) @ y_weights))
