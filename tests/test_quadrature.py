@@ -28,6 +28,11 @@ def test_parameter_validation():
     assert nodes.shape == weights.shape == (6,)
 
 
+def test_axis_rule_rejects_empty_interval():
+    with pytest.raises(ValueError):
+        axis_rule(QuadratureScheme(), 1.0, 1.0)
+
+
 def test_weights_positive_and_sum_to_length():
     quad = QuadratureScheme(order=7, subdivisions=3)
     nodes, weights = axis_rule(quad, -1.0, 2.5)
