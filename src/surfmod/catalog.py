@@ -257,7 +257,7 @@ def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
     return ParametrizedFamily(n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac)
 
 
-def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
+def _annulus_radial(inner: float, outer: float, transverse) -> CatalogEntry:
     def angle(z):
         return (np.arctan2(z[..., 1], z[..., 0]) % (2.0 * np.pi))[..., None]
 
@@ -279,10 +279,11 @@ def _annulus_radial(inner: float, outer: float) -> CatalogEntry:
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
         _submersion=lambda: Submersion(n=2, k=1, map=angle, jacobian=angle_jac),
+        _transverse=transverse,
     )
 
 
-def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
+def _annulus_circular(inner: float, outer: float, transverse) -> CatalogEntry:
     def radius(z):
         return np.hypot(z[..., 0], z[..., 1])[..., None]
 
@@ -302,6 +303,7 @@ def _annulus_circular(inner: float, outer: float) -> CatalogEntry:
         expected_modulus=expected,
         parameters={"r0": float(inner), "r1": float(outer)},
         _submersion=lambda: Submersion(n=2, k=1, map=radius, jacobian=radius_jac),
+        _transverse=transverse,
     )
 
 
@@ -312,7 +314,8 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
     at p=2 the modulus is 2*pi / log(r1/r0) and the extremal density is
     1 / (|z| log(r1/r0)).  mode="circular" sweeps the concentric circles
     and at p=2 yields the reciprocal-type value log(r1/r0) / (2*pi).
-    Each entry's ``transverse`` is the other one.  An entry's submersion
+    Each entry's ``transverse`` is the other one, built when first read,
+    and its own ``transverse`` is the entry again.  An entry's submersion
     (the angle or the radius) is built when first read; the key relation
     between it and the family is checked at every quadrature node by
     :func:`~surfmod.modulus.submersion_modulus`.
@@ -323,11 +326,15 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
         raise ValueError(f"radii must satisfy 0 < r0 < r1, got ({inner_radius}, {outer_radius})")
     if mode not in ("radial", "circular"):
         raise ValueError(f"mode must be 'radial' or 'circular', got {mode!r}")
-    radial = _annulus_radial(inner, outer)
-    circular = _annulus_circular(inner, outer)
-    if mode == "radial":
-        return replace(radial, _transverse=lambda: replace(circular, _transverse=lambda: radial))
-    return replace(circular, _transverse=lambda: replace(radial, _transverse=lambda: circular))
+    return _annulus(inner, outer, mode == "radial")
+
+
+def _annulus(inner: float, outer: float, radial: bool, back=None) -> CatalogEntry:
+    """The radial or the circular annulus entry, whose ``transverse`` is
+    ``back`` or, without one, the other mode built on first read."""
+    build = _annulus_radial if radial else _annulus_circular
+    entry = build(inner, outer, lambda: back or _annulus(inner, outer, not radial, entry))
+    return entry
 
 
 def make_pq_map(p: float, scale: float = 2.0, param_box=((0.0, 1.0),), surface_box=((0.0, 1.0),)) -> CatalogEntry:

@@ -161,7 +161,7 @@ def _parse_ladder(text: str):
         rungs = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"ladder {text!r} must be comma-separated integers") from exc
-    if not rungs or any(r < 1 for r in rungs):
+    if any(r < 1 for r in rungs):
         raise ConfigError(f"ladder {text!r} must contain positive resolutions")
     return rungs
 

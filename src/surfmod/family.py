@@ -353,7 +353,6 @@ def node_fields(
     fam: ParametrizedFamily,
     x,
     y,
-    floor: float | None = None,
     images: bool = False,
     submersion: "Submersion | None" = None,
 ) -> NodeFields:
@@ -377,12 +376,12 @@ def node_fields(
 
     Every check of the per-point functions applies to the whole batch
     and names the first offending node by its x and y: misshapen or
-    non-finite map and Jacobian values raise EvaluationFailure, a
-    |det J| that overflows raises NonFiniteIntegrand, and with ``floor``
-    given a node whose |det J| is at or below it raises
-    DegenerateJacobian.  With ``images`` the map values are returned too;
-    with ``submersion`` they are, along with the norm of the submersion's
-    derivative at each.
+    non-finite map and Jacobian values raise EvaluationFailure, and a
+    |det J| that overflows raises NonFiniteIntegrand.  A small |det J|
+    is returned, not judged: the routes of :mod:`surfmod.modulus` check
+    it against their degeneracy floor.  With ``images`` the map values
+    are returned too; with ``submersion`` they are, along with the norm
+    of the submersion's derivative at each.
     """
     k = fam.n - fam.m
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -390,7 +389,7 @@ def node_fields(
         raise ValueError(f"need x (..., {k}) and y (..., {fam.m}), got {x.shape} and {y.shape}")
     shape = np.broadcast(x[..., 0], y[..., 0]).shape
     count = math.prod(shape)
-    batch = lambda xs, ys: _paired_fields(fam, xs, ys, floor, images, submersion)
+    batch = lambda xs, ys: _paired_fields(fam, xs, ys, images, submersion)
     if count <= _CHUNK:
         flat = batch(*_pairs(x, y, shape))
     else:
@@ -413,7 +412,7 @@ def _each(fn, fields: NodeFields) -> NodeFields:
     return NodeFields(*(None if f is None else fn(f) for f in fields))
 
 
-def _paired_fields(fam, x, y, floor, images, submersion) -> NodeFields:
+def _paired_fields(fam, x, y, images, submersion) -> NodeFields:
     """:func:`node_fields` on one batch of paired nodes (x[i], y[i])."""
     k = fam.n - fam.m
     jac = _jacobian_columns(fam, x, y)
@@ -421,12 +420,6 @@ def _paired_fields(fam, x, y, floor, images, submersion) -> NodeFields:
     if not np.isfinite(dets).all():
         i = int(np.argmax(~np.isfinite(dets)))
         raise NonFiniteIntegrand(f"|det J| = {dets[i]} at x={x[i]}, y={y[i]} is not finite")
-    if floor is not None and np.any(dets <= floor):
-        i = int(np.argmax(dets <= floor))
-        raise DegenerateJacobian(
-            f"|det J| = {dets[i]:.3e} at x={x[i]}, y={y[i]} is below the degeneracy "
-            f"floor {floor:.3e}"
-        )
     areas = _once(stacked_norm, jac[:, :, k:])
     z = _stacked_map(fam, x, y) if images or submersion is not None else None
     gradients = None

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family as _family
-from .errors import DegenerateJacobian, InconsistentSubmersion, InversionFailure, NonFiniteIntegrand
+from .errors import (
+    DegenerateJacobian,
+    EvaluationFailure,
+    InconsistentSubmersion,
+    InversionFailure,
+    NonFiniteIntegrand,
+)
 from .family import (
     NodeFields,
     ParametrizedFamily,
@@ -113,6 +119,11 @@ def _median(values) -> float:
     return float((part[:half].max() + part[half]) / 2)
 
 
+def _floor_of(dets) -> float:
+    """The degeneracy floor set by a grid's |det J|: 1e-12 times their median."""
+    return _DEGENERACY_FACTOR * _median(dets)
+
+
 def jacobian_floor(fam: ParametrizedFamily) -> float:
     """Degeneracy threshold for |det J| on this family, from a probe grid.
 
@@ -121,12 +132,23 @@ def jacobian_floor(fam: ParametrizedFamily) -> float:
     fraction of it are reported as degenerate rather than silently
     amplified by the q-power in the integrand.  :class:`ExtremalDensity`
     takes its floor here, since it evaluates single points and partial
-    grids; the whole-grid routes (:func:`modulus_p`,
-    :func:`submersion_modulus`, :func:`extremality_probe`) take theirs
-    from the grid they integrate instead.
+    grids, and checks it on the fields of every grid it evaluates; the
+    whole-grid routes (:func:`modulus_p`, :func:`submersion_modulus`,
+    :func:`extremality_probe`) take theirs from the grid they integrate
+    instead.  Both floors are checked in this module, by one helper,
+    after :func:`~surfmod.family.node_fields` has evaluated the grid.
     """
     x, y = fam.param_box.grid(_FLOOR_PROBES), fam.surface_box.grid(_FLOOR_PROBES)
-    return _DEGENERACY_FACTOR * _median(node_fields(fam, x[:, None], y[None]).dets)
+    return _floor_of(node_fields(fam, x[:, None], y[None]).dets)
+
+
+def _check_inside(rows, box, label):
+    """Raise ValueError at the first of the (N, d) ``rows`` outside the open ``box``."""
+    lower, upper = box.lower.tolist(), box.upper.tolist()
+    for row in rows.tolist():
+        if not all(lo < v < hi for v, lo, hi in zip(row, lower, upper)):
+            bounds = " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(lower, upper))
+            raise ValueError(f"{label}={np.array(row)} lies outside the open box {bounds}")
 
 
 def _rules(fam, quad):
@@ -140,27 +162,32 @@ def _raise_first(bad, error, message):
         raise error(message(*np.unravel_index(int(np.argmax(bad)), bad.shape)))
 
 
+def _check_floor(dets, floor, x_nodes, y_nodes):
+    """Raise DegenerateJacobian at the first node, in C order, of the grid
+    of ``x_nodes`` and ``y_nodes`` whose |det J| is at or below ``floor``."""
+    _raise_first(
+        dets <= floor,
+        DegenerateJacobian,
+        lambda i, j: f"|det J| = {dets[i, j]:.3e} at x={x_nodes[i]}, y={y_nodes[j]} is below "
+        f"the degeneracy floor {floor:.3e}",
+    )
+
+
 def _grid_fields(fam, x_nodes, y_nodes, submersion=None) -> NodeFields:
     """Fields of the tensor grid of ``x_nodes`` and ``y_nodes``, with the
     degeneracy floor taken from that grid.
 
-    The grid is evaluated once, without a floor; then the first node in
-    C order whose |det J| is at or below ``_DEGENERACY_FACTOR`` times the
-    median |det J| over the grid raises DegenerateJacobian.  Any error of
-    the evaluation itself, at any node, comes first.  The median is at
-    most the largest |det J|, so a grid whose smallest is above that
-    factor times its largest has no such node, and skips the median.
+    The grid is evaluated once; then the first node in C order whose
+    |det J| is at or below ``_DEGENERACY_FACTOR`` times the median
+    |det J| over the grid raises DegenerateJacobian.  Any error of the
+    evaluation itself, at any node, comes first.  The median is at most
+    the largest |det J|, so a grid whose smallest is above that factor
+    times its largest has no such node, and skips the median.
     """
     fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=submersion)
     dets = fields.dets
     if not dets.min() > _DEGENERACY_FACTOR * dets.max():
-        floor = _DEGENERACY_FACTOR * _median(dets)
-        _raise_first(
-            dets <= floor,
-            DegenerateJacobian,
-            lambda i, j: f"|det J| = {dets[i, j]:.3e} at x={x_nodes[i]}, y={y_nodes[j]} is below "
-            f"the degeneracy floor {floor:.3e}",
-        )
+        _check_floor(dets, _floor_of(dets), x_nodes, y_nodes)
     return fields
 
 
@@ -318,6 +345,13 @@ class ExtremalDensity:
     user-supplied inverse of the parametrizing map when one is given and
     otherwise falls back to damped Newton iteration seeded from a coarse
     forward grid.
+
+    The degeneracy floor is taken once, when built, from
+    :func:`jacobian_floor`.  Every grid the density evaluates is checked
+    against it after evaluation: the first node in C order whose |det J|
+    is at or below it raises DegenerateJacobian, as on the whole-grid
+    routes.  A parameter point outside the open boxes U x V raises
+    ValueError, naming the point and the box.
     """
 
     def __init__(
@@ -343,8 +377,10 @@ class ExtremalDensity:
         """Surface weight l(x) of the surface through parameter x."""
         fam = self.family
         x = _point(x, fam.n - fam.m, "x")
+        _check_inside(x[None], fam.param_box, "x")
         nodes, weights = self._inner_nodes, self._inner_weights
-        fields = node_fields(fam, x[None, None], nodes[None], floor=self._floor)
+        fields = node_fields(fam, x[None, None], nodes[None])
+        _check_floor(fields.dets, self._floor, x[None], nodes)
         return float(_weights_from_fields(fields, self.q, x[None], nodes, weights)[0])
 
     # -- evaluation ----------------------------------------------------
@@ -354,6 +390,8 @@ class ExtremalDensity:
         fam = self.family
         x = _point(x, fam.n - fam.m, "x")
         y = _point(y, fam.m, "y")
+        _check_inside(x[None], fam.param_box, "x")
+        _check_inside(y[None], fam.surface_box, "y")
         return float(self._evaluate_grid(x[None], y[None])[0][0, 0])
 
     def _evaluate_grid(self, x_nodes, y_nodes):
@@ -362,14 +400,18 @@ class ExtremalDensity:
 
         One kernel call covers ``x_nodes`` times ``y_nodes`` followed by
         the inner rule, whose columns give l(x); when ``y_nodes`` is the
-        inner rule itself, its grid serves both.
+        inner rule itself, its grid serves both.  The whole grid is
+        evaluated before its first node at or below the probe floor is
+        named.
         """
         fam, nodes, weights = self.family, self._inner_nodes, self._inner_weights
-        if np.array_equal(y_nodes, nodes):
-            fields = inner = node_fields(fam, x_nodes[:, None], nodes[None], floor=self._floor)
+        same = np.array_equal(y_nodes, nodes)
+        y_grid = nodes if same else np.concatenate([y_nodes, nodes])
+        grid = node_fields(fam, x_nodes[:, None], y_grid[None])
+        _check_floor(grid.dets, self._floor, x_nodes, y_grid)
+        if same:
+            fields = inner = grid
         else:
-            y_grid = np.concatenate([y_nodes, nodes])[None]
-            grid = node_fields(fam, x_nodes[:, None], y_grid, floor=self._floor)
             count = len(y_nodes)
             fields = NodeFields(grid.dets[:, :count], grid.areas[:, :count])
             inner = NodeFields(grid.dets[:, count:], grid.areas[:, count:])
@@ -467,14 +509,17 @@ def admissibility_check(
     """Surface integrals of a density over the surfaces through ``x_samples``.
 
     ``x_samples`` has shape (N, n - m), one parameter point per row;
-    any other shape raises ValueError.  Each returned entry is
-    (x, integral); admissibility of the extremal density shows up as
-    integrals equal to one up to quadrature error.
+    any other shape raises ValueError, and so does a row outside the
+    open parameter box of ``fam`` or of the density's family.  Each
+    returned entry is (x, integral); admissibility of the extremal
+    density shows up as integrals equal to one up to quadrature error.
     """
     k = fam.n - fam.m
     x_samples = np.asarray(x_samples, dtype=float)
     if x_samples.ndim != 2 or x_samples.shape[1] != k:
         raise ValueError(f"x_samples must have shape (N, {k}), got {x_samples.shape}")
+    for box in (fam.param_box, density.family.param_box):
+        _check_inside(x_samples, box, "x")
     nodes, weights = quad.box_rule(fam.surface_box)
     values, fields = density._evaluate_grid(x_samples, nodes)
     if density.family is not fam:
@@ -495,16 +540,33 @@ def coarea_check(
     the swept region (pulled back through the map); the right side first
     integrates g over each surface and then over the parameter box.  For
     a consistent (family, submersion) pair the two agree up to
-    quadrature and rounding error.
+    quadrature and rounding error.  ``integrand`` is called once per
+    node with the image z, shape (n,); a value that is not a finite
+    real number raises EvaluationFailure, naming the first such node's z.
     """
     _check_pair(fam, sub)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
     fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=sub)
     weighted = np.outer(x_weights, y_weights)
-    values = np.fromiter(map(integrand, fields.images.reshape(-1, fam.n)), float, weighted.size)
+    values = _integrand_values(integrand, fields.images.reshape(-1, fam.n))
     weighted = weighted * values.reshape(weighted.shape)
     lhs = weighted * fields.gradients * fields.dets
     return float(lhs.sum()), float((weighted * fields.areas).sum())
+
+
+def _integrand_values(integrand, images) -> np.ndarray:
+    """The scalar ``integrand`` at each row of ``images``; a value that is
+    not a finite real number raises EvaluationFailure at the first such row."""
+    raw = [integrand(z) for z in images]
+    real = lambda v: np.shape(v) == () and np.asarray(v).dtype.kind in "biuf" and np.isfinite(v)
+    try:
+        values = np.asarray(raw)
+    except ValueError:  # values of unequal shapes
+        values = np.empty(0)
+    if not (values.shape == (len(raw),) and values.dtype.kind in "biuf" and np.isfinite(values).all()):
+        i = next(i for i, value in enumerate(raw) if not real(value))
+        raise EvaluationFailure(f"integrand returned {raw[i]!r} at z={images[i]}, not a finite real number")
+    return values.astype(float, copy=False)
 
 
 def submersion_modulus(

@@ -405,3 +405,31 @@ def test_entries_build_their_submersion_and_transverse_on_first_read(monkeypatch
     assert len(blocks) == 2
     # the condenser has neither
     assert entries[-1].submersion is None and entries[-1].transverse is None
+
+
+def test_malformed_box_spec_is_rejected():
+    for spec in ([(0.0, 1.0, 2.0)], np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="box argument must be a BoxDomain"):
+            make_parallel(spec, [(0.0, 1.0)])
+
+
+def test_a_shear_has_no_transverse():
+    assert make_shear([(0.0, 1.0)], [(0.0, 1.0)], [[0.5]]).transverse is None
+
+
+def test_polar_annulus_builds_the_other_mode_on_first_read(monkeypatch):
+    built = []
+    for name in ("_annulus_radial", "_annulus_circular"):
+        build = getattr(catalog, name)
+        monkeypatch.setattr(catalog, name, lambda *args, b=build, n=name: built.append(n) or b(*args))
+    for mode, first, other in (
+        ("radial", "_annulus_radial", "_annulus_circular"),
+        ("circular", "_annulus_circular", "_annulus_radial"),
+    ):
+        built.clear()
+        entry = make_polar_annulus(1.0, 2.0, mode=mode)
+        assert built == [first]
+        crossed = entry.transverse
+        assert built == [first, other]
+        assert crossed.transverse is entry and entry.transverse is crossed
+        assert built == [first, other]

@@ -366,3 +366,53 @@ def test_number_formatting_survives_parsing():
         cli._format_number(np.inf)
     with pytest.raises(ValueError):
         cli._format_number(np.nan)
+
+
+def test_shear_matrix_flag(tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert cli.main(["compute", "--family", "shear", "--b", "0.5"] + FAST + ["--output", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["b"] == [[0.5]]
+    capsys.readouterr()
+    assert cli.main(["compute", "--family", "shear", "--u", "0,1;0,1", "--b", "0.5;x"]) == 2
+    assert "matrix argument '0.5;x' is malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        ("16,1.5", "must be comma-separated integers"),
+        ("", "must be comma-separated integers"),
+        ("16,0", "must contain positive resolutions"),
+    ],
+)
+def test_malformed_ladder_flag_is_config_error(capsys, ladder, message):
+    assert cli.main(["cross-validate", "--family", "parallel", "--ladder", ladder]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unusable_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["compute", "--config", str(missing)]) == 2
+    assert f"cannot read config file {missing}" in capsys.readouterr().err
+    config = tmp_path / "run.json"
+    for text, message in (("{", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")):
+        config.write_text(text)
+        assert cli.main(["compute", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("format", "xml", "format must be json or csv, got 'xml'"), ("trials", 0, "trials must be a positive integer")],
+)
+def test_invalid_config_value_is_config_error(tmp_path, capsys, key, value, message):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"family": "parallel", key: value}))
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cross_validate_outside_the_band_exits_one(capsys):
+    # one cell cannot resolve the circles of the annulus: the gap is about 89%
+    assert cli.main(["cross-validate", "--family", "annulus-circular", "--p", "3", "--ladder", "1"]) == 1
+    assert "FAIL final gap" in capsys.readouterr().out

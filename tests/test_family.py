@@ -15,7 +15,7 @@ from surfmod import (
     jacobian_partial_y,
     submersion_jacobian,
 )
-from surfmod.family import key_relation_residual
+from surfmod.family import key_relation_residual, node_fields
 
 from _oracles import well_conditioned
 
@@ -100,6 +100,15 @@ def test_family_dimension_validation():
         )
     with pytest.raises(ValueError):
         Submersion(n=2, k=2, map=None)
+    box2 = BoxDomain([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="surface box has dimension 2, expected 1"):
+        ParametrizedFamily(n=3, m=1, param_box=box2, surface_box=box2, map=None)
+
+
+def test_node_fields_checks_the_node_shapes():
+    for x, y in ((np.zeros((3, 2)), np.ones((3, 1))), (np.zeros((3, 1)), np.ones(3))):
+        with pytest.raises(ValueError, match=r"need x \(\.\.\., 1\) and y \(\.\.\., 1\)"):
+            node_fields(polar_family(), x, y)
 
 
 def test_evaluate_map_checks_shape_and_finiteness():
@@ -294,3 +303,16 @@ def test_compose_without_jacobian_falls_back():
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
         compose(polar_family(), AmbientMap(n=3, map=lambda z: z))
+
+
+def test_finite_differences_need_room_on_every_axis():
+    # two central-difference points do not fit inside a box 1e-6 wide
+    narrow = ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=BoxDomain([0.0], [1e-6]),
+        surface_box=BoxDomain([0.0], [1.0]),
+        map=lambda x, y: np.concatenate([x, y], -1),
+    )
+    with pytest.raises(EvaluationFailure, match="axis 0 is too narrow for finite differences"):
+        jacobian_full(narrow, [5e-7], [0.5])

@@ -17,11 +17,13 @@ from surfmod import (
     ParametrizedFamily,
     QuadratureScheme,
     Submersion,
+    admissibility_check,
     build_entry,
     catalog,
     coarea_check,
     compose,
     discretize_family,
+    extremal_density,
     family,
     make_parallel,
     make_polar_annulus,
@@ -156,12 +158,29 @@ def test_tensor_grid_broadcasts_to_the_paired_nodes(monkeypatch):
 
 
 def test_chunked_grid_names_its_first_degenerate_node(monkeypatch):
-    # y-major, the first node with y = 0 is the last of the third batch
+    # |det J| = x vanishes towards x = 0; the density's grid of 4 samples
+    # by 2 inner nodes goes through in batches of 3, and its first
+    # degenerate node, the first of the third row, is named only after
+    # the whole grid has been evaluated
+    batches = []
+
+    def jacobian(x, y):
+        batches.append(len(x))
+        return x[..., None] * [[1.0, 0.0], [0.0, 0.0]] + [[0.0, 0.0], [0.0, 1.0]]
+
+    unit = BoxDomain([0.0], [1.0])
+    fam = ParametrizedFamily(
+        n=2, m=1, param_box=unit, surface_box=unit,
+        map=lambda x, y: np.concatenate([x**2 / 2.0, y], -1), jacobian=jacobian,
+    )
+    quad = QuadratureScheme(order=2, subdivisions=1)
+    density = extremal_density(fam, 2.0, quad)
+    nodes, _ = quad.box_rule(unit)
     monkeypatch.setattr(family, "_CHUNK", 3)
-    y = NODES_Y.copy()
-    y[2, 0] = 0.0
-    with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.1], y=[0.]")):
-        node_fields(_polar(), NODES_X[None], y[:, None], floor=1e-6)
+    batches.clear()
+    with pytest.raises(DegenerateJacobian, match=re.escape(f"x=[1.e-20], y={nodes[0]}")):
+        admissibility_check(fam, density, quad, np.array([[0.5], [0.3], [1e-20], [0.7]]))
+    assert batches == [3, 3, 2]
 
 
 def test_grid_memory_is_bounded_by_the_outputs(monkeypatch):
@@ -268,13 +287,15 @@ def test_first_non_finite_row_is_named_deep_in_a_large_batch():
 
 
 def test_batch_with_a_degenerate_node_raises():
-    # |det J| of the polar map is the radius, which vanishes at y = 0
+    # |det J| of the polar map is the radius, which vanishes at y = 0: the
+    # kernel returns it, and the density route names the node
     y = NODES_Y.copy()
     y[2, 0] = 0.0
     fields = node_fields(_polar(), NODES_X, y)
     assert fields.dets[2] < 1e-12
-    with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.6], y=[0.]")):
-        node_fields(_polar(), NODES_X, y, floor=1e-6)
+    density = extremal_density(_polar(), 2.0, QuadratureScheme(order=4, subdivisions=1))
+    with pytest.raises(DegenerateJacobian, match=re.escape("x=[0.6], y=[1.e-20]")):
+        density.evaluate_param([0.6], [1e-20])
 
 
 def _stack_dets(stack):
@@ -427,33 +448,30 @@ def test_a_repeated_jacobian_gives_the_fields_of_its_copies(monkeypatch):
             copies, sub_copies = _copied(fam, sub)
             x, _ = random_nodes(rng, fam, 6)
             _, y = random_nodes(rng, fam, 5)
-            floor = 1e-3 * min(abs(np.linalg.det(a)), 1.0)  # |det| of a shear is 1
             for chunk in (whole, 7):
                 monkeypatch.setattr(family, "_CHUNK", chunk)
-                got = node_fields(fam, x[:, None], y[None], floor=floor, submersion=sub)
-                want = node_fields(copies, x[:, None], y[None], floor=floor, submersion=sub_copies)
+                got = node_fields(fam, x[:, None], y[None], submersion=sub)
+                want = node_fields(copies, x[:, None], y[None], submersion=sub_copies)
                 for ours, theirs in zip(got, want):
                     np.testing.assert_array_equal(ours, theirs)
 
 
 def test_a_repeated_jacobian_fails_as_its_copies_do():
-    # a NaN in the one matrix, or a floor above its |det|, names the first node
+    # a NaN in the one matrix names the first node
     a = np.array([[2.0, 0.5], [0.0, 1.5]])
     spoiled = a.copy()
     spoiled[1, 0] = np.nan
     unit = BoxDomain([0.0], [1.0])
-    first = f"x={NODES_X[0]}, y={NODES_Y[0]}"
     cases = (
-        (spoiled, a[:1], None, EvaluationFailure, first),
-        (a, spoiled[1:], None, EvaluationFailure, f"z={a @ np.concatenate([NODES_X[0], NODES_Y[0]])}"),
-        (a, a[:1], 4.0, DegenerateJacobian, first),
+        (spoiled, a[:1], f"x={NODES_X[0]}, y={NODES_Y[0]}"),
+        (a, spoiled[1:], f"z={a @ np.concatenate([NODES_X[0], NODES_Y[0]])}"),
     )
-    for matrix, b, floor, error, named in cases:
+    for matrix, b, named in cases:
         fam, sub = linear_family(matrix, unit, unit), linear_submersion(b)
         messages = []
         for twin, sub_twin in (fam, sub), _copied(fam, sub):
-            with pytest.raises(error) as raised:
-                node_fields(twin, NODES_X[:, None], NODES_Y[None], floor=floor, submersion=sub_twin)
+            with pytest.raises(EvaluationFailure) as raised:
+                node_fields(twin, NODES_X[:, None], NODES_Y[None], submersion=sub_twin)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
         assert named in messages[0], messages[0]
@@ -509,7 +527,7 @@ def test_batched_probe_rejects_a_mismatched_pair(monkeypatch):
         with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
             submersion_modulus(sub, radial.family, 2.0, quad)
     circles = catalog._annulus_circular
-    swapped = lambda inner, outer: replace(circles(inner, outer), _submersion=lambda: radial.submersion)
+    swapped = lambda *args: replace(circles(*args), _submersion=lambda: radial.submersion)
     monkeypatch.setattr(catalog, "_annulus_circular", swapped)
     # reading the swapped submersion checks nothing against the family; the
     # routes that integrate the pair see the mismatch
@@ -634,11 +652,10 @@ def test_a_composition_of_broadcast_matrices_gives_the_fields_of_its_copies(monk
         _, y = random_nodes(rng, fam, 5)
         assert family._jacobian_columns(image, x[:5], y).strides[0] == 0
         assert family._jacobian_columns(twin, x[:5], y).strides[0] != 0
-        floor = 1e-3 * abs(np.linalg.det(c @ a))
         for chunk in (whole, 7):
             monkeypatch.setattr(family, "_CHUNK", chunk)
-            got = node_fields(image, x[:, None], y[None], floor=floor, images=True)
-            want = node_fields(twin, x[:, None], y[None], floor=floor, images=True)
+            got = node_fields(image, x[:, None], y[None], images=True)
+            want = node_fields(twin, x[:, None], y[None], images=True)
             for ours, theirs in zip(got, want):
                 if ours is not None:
                     np.testing.assert_array_equal(ours, theirs)
@@ -649,27 +666,22 @@ def test_a_composition_of_broadcast_matrices_gives_the_fields_of_its_copies(monk
 
 
 def test_a_composition_of_broadcast_matrices_fails_as_its_copies_do():
-    # a NaN in either factor, or a floor above |det|, names the same first node
+    # a NaN in either factor names the same first node
     a = np.array([[2.0, 0.5], [0.0, 1.5]])
     c = np.array([[1.0, -0.3], [0.2, 0.8]])
     spoiled = c.copy()
     spoiled[1, 0] = np.nan
     unit = BoxDomain([0.0], [1.0])
     first = f"x={NODES_X[0]}, y={NODES_Y[0]}"
-    cases = (
-        (spoiled, c, None, EvaluationFailure, first),
-        (a, spoiled, None, EvaluationFailure, first),
-        (a, c, 10.0, DegenerateJacobian, first),
-    )
-    for inner, matrix, floor, error, named in cases:
+    for inner, matrix in ((spoiled, c), (a, spoiled)):
         fam, outer = linear_family(inner, unit, unit), _linear_outer(matrix)
         messages = []
         for factors in ((fam, outer), _materialized(fam, outer)):
-            with pytest.raises(error) as raised:
-                node_fields(compose(*factors), NODES_X[:, None], NODES_Y[None], floor=floor)
+            with pytest.raises(EvaluationFailure) as raised:
+                node_fields(compose(*factors), NODES_X[:, None], NODES_Y[None])
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
-        assert named in messages[0], messages[0]
+        assert first in messages[0], messages[0]
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0])

@@ -1,6 +1,7 @@
 """Surface weights, moduli, extremal densities, and both verification routes."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from surfmod import (
     BoxDomain,
     DegenerateJacobian,
+    EvaluationFailure,
     InconsistentSubmersion,
     InversionFailure,
     ModulusReport,
@@ -385,6 +387,21 @@ def test_whole_grid_routes_name_the_first_degenerate_node(monkeypatch):
             with pytest.raises(DegenerateJacobian) as raised:
                 route()
             assert str(raised.value) == expected
+    # the density route takes its floor from the probe grid and names the
+    # same node by the same helper, after evaluating the whole grid
+    density = extremal_density(fam, 2.0, QUAD)
+    expected = expected.replace(f"{floor:.3e}", f"{jacobian_floor(fam):.3e}")
+    density_routes = (
+        lambda: density.l_value(x_nodes[7]),
+        lambda: density.evaluate_param(x_nodes[7], y_nodes[0]),
+        lambda: admissibility_check(fam, density, QUAD, x_nodes[5:9]),
+    )
+    for chunk in (family_module._CHUNK, 100):
+        monkeypatch.setattr(family_module, "_CHUNK", chunk)
+        for route in density_routes:
+            with pytest.raises(DegenerateJacobian) as raised:
+                route()
+            assert str(raised.value) == expected
 
 
 def test_extremal_density_parallel_constant():
@@ -541,6 +558,52 @@ def test_inversion_failure_outside_image():
         density.evaluate_ambient([5.0, 5.0])
 
 
+def _identity_claiming(matrix):
+    """The identity map on the unit square, with ``matrix`` as its analytic Jacobian."""
+    unit = BoxDomain([0.0], [1.0])
+    return ParametrizedFamily(
+        n=2,
+        m=1,
+        param_box=unit,
+        surface_box=unit,
+        map=lambda x, y: np.concatenate([x, y], -1),
+        jacobian=lambda x, y: np.broadcast_to(matrix, x.shape[:-1] + (2, 2)),
+    )
+
+
+def test_inversion_failure_on_a_singular_jacobian():
+    density = extremal_density(_identity_claiming(np.diag([1.0, 0.0])), 2.0, QUAD)
+    with pytest.raises(InversionFailure, match="Jacobian is singular during inversion"):
+        density.evaluate_ambient([0.3, 0.7])
+
+
+def test_inversion_failure_after_fifty_newton_iterations():
+    # a Jacobian 1e6 times too large makes every Newton step 1e-6 of the right one
+    density = extremal_density(_identity_claiming(1e6 * np.eye(2)), 2.0, QUAD)
+    with pytest.raises(InversionFailure, match=r"no convergence after 50 Newton iterations for z=\[0.3 0.7\]"):
+        density.evaluate_ambient([0.3, 0.7])
+
+
+def test_density_rejects_points_outside_the_open_boxes():
+    # the surface through x = 50 is not in the family, nor is y = -7 on any surface
+    entry = make_parallel([(0.0, 2.0)], [(0.0, 3.0)])
+    density = extremal_density(entry.family, 2.0, QUAD)
+    outside_u = re.escape("x=[50.] lies outside the open box (0.0, 2.0)")
+    with pytest.raises(ValueError, match=outside_u):
+        density.evaluate_param([50.0], [-7.0])
+    with pytest.raises(ValueError, match=re.escape("y=[-7.] lies outside the open box (0.0, 3.0)")):
+        density.evaluate_param([1.0], [-7.0])
+    with pytest.raises(ValueError, match=outside_u):
+        admissibility_check(entry.family, density, QUAD, [[1.0], [50.0]])
+    # the boxes are open, and NaN lies in neither
+    for x in ([0.0], [2.0], [np.nan]):
+        with pytest.raises(ValueError, match="outside the open box"):
+            density.l_value(x)
+    shear = make_shear([(0.0, 1.0), (0.0, 2.0)], [(0.0, 1.0)], [[1.0], [1.0]]).family
+    with pytest.raises(ValueError, match=re.escape("x=[0.5 3. ] lies outside the open box (0.0, 1.0) x (0.0, 2.0)")):
+        extremal_density(shear, 2.0, QUAD).l_value([0.5, 3.0])
+
+
 def test_admissibility_of_extremal_density():
     for entry in (
         make_parallel([(0.0, 2.0)], [(0.0, 3.0)]),
@@ -568,6 +631,30 @@ def test_coarea_identity_radial():
     exact = 2.0 * np.pi * (2.0**2 - 1.0**2) / 2.0
     assert lhs == pytest.approx(exact, rel=1e-12)
     assert rhs == pytest.approx(exact, rel=1e-12)
+
+
+def test_coarea_check_needs_a_finite_real_integrand():
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
+    quad = QuadratureScheme(order=4, subdivisions=1)
+    x_nodes, _ = quad.box_rule(entry.family.param_box)
+    y_nodes, _ = quad.box_rule(entry.family.surface_box)
+    images = evaluate_map(entry.family, x_nodes[0], y_nodes[0]), evaluate_map(entry.family, x_nodes[0], y_nodes[1])
+    # the first node's image, then the second's
+    cases = (
+        (lambda z: np.nan, "nan", images[0]),
+        (lambda z: np.inf, "inf", images[0]),
+        (lambda z: "abc", "'abc'", images[0]),
+        (lambda z: np.array([1.0]), "array([1.])", images[0]),
+        (lambda z: 1.0 if np.allclose(z, images[0]) else -np.inf, "-inf", images[1]),
+    )
+    for integrand, value, z in cases:
+        with pytest.raises(EvaluationFailure) as raised:
+            coarea_check(entry.family, entry.submersion, integrand, quad)
+        assert str(raised.value) == f"integrand returned {value} at z={z}, not a finite real number"
+    # integers and 0-d arrays are real numbers
+    for integrand in (lambda z: 2, lambda z: np.array(2.0)):
+        lhs, rhs = coarea_check(entry.family, entry.submersion, integrand, quad)
+        assert lhs == pytest.approx(4.0 * np.pi, rel=1e-12) and rhs == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
 def test_coarea_identity_quadratic_integrand():

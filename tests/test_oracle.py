@@ -764,3 +764,12 @@ def test_discretize_matches_an_independent_binning(case, jitter, monkeypatch):
     np.testing.assert_allclose(problem.centers, centers, rtol=1e-12, atol=0.0)
     if jitter is None:
         assert all(counts[name] > 0 for name in reached), counts
+
+
+def test_solve_discrete_reports_a_stalled_projection_arc():
+    # with a tolerance below rounding, the duality gap stops a few ulps
+    # above zero, where no step along the projection arc makes progress
+    fam = make_polar_annulus(1.0, 2.0, mode="circular").family
+    problem = discretize_family(fam, 1.5, 2, 6, 8)
+    with pytest.raises(NoConvergence, match="no step along the projection arc makes progress"):
+        solve_discrete(problem, tol=1e-300, max_iters=2000)
