@@ -327,13 +327,13 @@ class NodeFields(NamedTuple):
 
 
 def _paired(fn):
-    """``fn(x, y)``, written for x and y of equal leading shapes, broadcast
-    over any: unequal ones are paired into rows first, so a grid's values
-    are bit for bit those of its paired nodes."""
+    """``fn(x, y)``, written for equally long 2-d arrays of rows, broadcast
+    over any leading shapes: every other shape is paired into rows first,
+    so a grid's values are bit for bit those of its paired nodes."""
 
     def wrapper(x, y):
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.shape[:-1] == y.shape[:-1]:
+        if x.ndim == y.ndim == 2 and len(x) == len(y):
             return fn(x, y)
         shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         out = fn(*_pairs(x, y, shape))
@@ -503,19 +503,10 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
         raise ValueError(
             f"ambient map acts on R^{outer.n} but the family lives in R^{fam.n}"
         )
-    n, k = fam.n, fam.n - fam.m
+    n = fam.n
 
     def outer_values(fn, x, y, z, shape, label):
         return _evaluate(lambda x, y, z: fn(z), (x, y, z), shape, label, "xyz")
-
-    def batched(fn):
-        # Flatten the leading axes of x and y to one batch axis and back.
-        def wrapper(x, y):
-            x = np.asarray(x, dtype=float)
-            out = fn(x.reshape(-1, k), np.asarray(y, dtype=float).reshape(-1, fam.m))
-            return out.reshape(x.shape[:-1] + out.shape[1:])
-
-        return _paired(wrapper)
 
     def composed(x, y):
         z = _stacked_map(fam, x, y)
@@ -532,4 +523,4 @@ def compose(fam: ParametrizedFamily, outer: AmbientMap) -> ParametrizedFamily:
         return outer_jac @ inner_jac
 
     analytic = fam.jacobian is not None and outer.jacobian is not None
-    return replace(fam, map=batched(composed), jacobian=batched(jac) if analytic else None)
+    return replace(fam, map=_paired(composed), jacobian=_paired(jac) if analytic else None)

@@ -26,6 +26,7 @@ integral are formed from logarithms where a power leaves the normal range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,11 @@ def _median(values) -> float:
     Of an even count, the lower middle value is the largest left of the
     upper one, read with ``max`` instead of a second partition point,
     which costs numpy a pass several times slower.
+
+    ``np.median`` itself imports ``numpy.ma`` on its first call, which
+    raised peak RSS by 2.0 MB in a fresh process (numpy 2.4, x86-64
+    Linux); in its place here, it raised the benchmark's ``peak_rss_mb``
+    by 1.1-1.6 MB on ``reduction-sweep`` and ``ambient-queries``.
     """
     flat = values.ravel()
     half = flat.size // 2
@@ -132,23 +138,25 @@ def jacobian_floor(fam: ParametrizedFamily) -> float:
     fraction of it are reported as degenerate rather than silently
     amplified by the q-power in the integrand.  :class:`ExtremalDensity`
     takes its floor here, since it evaluates single points and partial
-    grids, and checks it on the fields of every grid it evaluates; the
-    whole-grid routes (:func:`modulus_p`, :func:`submersion_modulus`,
-    :func:`extremality_probe`) take theirs from the grid they integrate
-    instead.  Both floors are checked in this module, by one helper,
-    after :func:`~surfmod.family.node_fields` has evaluated the grid.
+    grids; the whole-grid routes (:func:`modulus_p`,
+    :func:`submersion_modulus`, :func:`extremality_probe`) take theirs
+    from the grid they integrate instead.  Either floor is checked by
+    ``_grid_fields``, which evaluates every grid of those routes.
     """
     x, y = fam.param_box.grid(_FLOOR_PROBES), fam.surface_box.grid(_FLOOR_PROBES)
     return _floor_of(node_fields(fam, x[:, None], y[None]).dets)
 
 
 def _check_inside(rows, box, label):
-    """Raise ValueError at the first of the (N, d) ``rows`` outside the open ``box``."""
-    lower, upper = box.lower.tolist(), box.upper.tolist()
-    for row in rows.tolist():
-        if not all(lo < v < hi for v, lo, hi in zip(row, lower, upper)):
-            bounds = " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(lower, upper))
-            raise ValueError(f"{label}={np.array(row)} lies outside the open box {bounds}")
+    """Raise ValueError at the first of the (N, d) ``rows`` outside the open ``box``; NaN is outside."""
+    inside = (box.lower < rows) & (rows < box.upper)
+    if not inside.all():
+        _raise_first(
+            ~inside.all(axis=1),
+            ValueError,
+            lambda i: f"{label}={rows[i]} lies outside the open box "
+            + " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(box.lower.tolist(), box.upper.tolist())),
+        )
 
 
 def _rules(fam, quad):
@@ -162,39 +170,32 @@ def _raise_first(bad, error, message):
         raise error(message(*np.unravel_index(int(np.argmax(bad)), bad.shape)))
 
 
-def _check_floor(dets, floor, x_nodes, y_nodes):
-    """Raise DegenerateJacobian at the first node, in C order, of the grid
-    of ``x_nodes`` and ``y_nodes`` whose |det J| is at or below ``floor``."""
+def _grid_fields(fam, x_nodes, y_nodes, floor=None, submersion=None) -> NodeFields:
+    """Fields of the tensor grid of ``x_nodes`` and ``y_nodes``, checked
+    against a degeneracy floor: every route of this module that divides
+    by |det J| evaluates its grid here.
+
+    The grid is evaluated once; then the first node in C order whose
+    |det J| is at or below ``floor`` raises DegenerateJacobian.  Any error
+    of the evaluation itself, at any node, comes first.  Without ``floor``
+    it is taken from the grid itself, ``_DEGENERACY_FACTOR`` times its
+    median |det J|; the median is at most the largest |det J|, so a grid
+    whose smallest is above that factor times its largest has no such
+    node, and skips the median.
+    """
+    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=submersion)
+    dets = fields.dets
+    if floor is None:
+        if dets.min() > _DEGENERACY_FACTOR * dets.max():
+            return fields
+        floor = _floor_of(dets)
     _raise_first(
         dets <= floor,
         DegenerateJacobian,
         lambda i, j: f"|det J| = {dets[i, j]:.3e} at x={x_nodes[i]}, y={y_nodes[j]} is below "
         f"the degeneracy floor {floor:.3e}",
     )
-
-
-def _grid_fields(fam, x_nodes, y_nodes, submersion=None) -> NodeFields:
-    """Fields of the tensor grid of ``x_nodes`` and ``y_nodes``, with the
-    degeneracy floor taken from that grid.
-
-    The grid is evaluated once; then the first node in C order whose
-    |det J| is at or below ``_DEGENERACY_FACTOR`` times the median
-    |det J| over the grid raises DegenerateJacobian.  Any error of the
-    evaluation itself, at any node, comes first.  The median is at most
-    the largest |det J|, so a grid whose smallest is above that factor
-    times its largest has no such node, and skips the median.
-    """
-    fields = node_fields(fam, x_nodes[:, None], y_nodes[None], submersion=submersion)
-    dets = fields.dets
-    if not dets.min() > _DEGENERACY_FACTOR * dets.max():
-        _check_floor(dets, _floor_of(dets), x_nodes, y_nodes)
     return fields
-
-
-def _surface_weights(fam, q, x_nodes, y_nodes, y_weights):
-    """Surface weights l(x) at every row of ``x_nodes``, with the grid fields behind them."""
-    fields = _grid_fields(fam, x_nodes, y_nodes)
-    return _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights), fields
 
 
 def _power(num, den, e, factor=None, divisor=None):
@@ -332,7 +333,8 @@ def modulus_p(
     """
     q = conjugate_exponent(p)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights)
+    fields = _grid_fields(fam, x_nodes, y_nodes)
+    l_vals = _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights)
     return _report(p, q, x_nodes, x_weights, l_vals, fields.dets)
 
 
@@ -341,35 +343,26 @@ class ExtremalDensity:
 
     Instances are built by :func:`extremal_density`.  The density can be
     evaluated in parameter coordinates through :meth:`evaluate_param` or
-    at ambient points through :meth:`evaluate_ambient`; the latter uses a
-    user-supplied inverse of the parametrizing map when one is given and
-    otherwise falls back to damped Newton iteration seeded from a coarse
-    forward grid.
+    at ambient points through :meth:`evaluate_ambient`, which finds the
+    parameters by damped Newton iteration, started from the nearest node
+    of an 8-per-axis forward grid built on the first inversion; a point
+    it cannot invert raises InversionFailure.
 
     The degeneracy floor is taken once, when built, from
-    :func:`jacobian_floor`.  Every grid the density evaluates is checked
-    against it after evaluation: the first node in C order whose |det J|
-    is at or below it raises DegenerateJacobian, as on the whole-grid
-    routes.  A parameter point outside the open boxes U x V raises
-    ValueError, naming the point and the box.
+    :func:`jacobian_floor`.  Every grid the density evaluates goes through
+    the module's one grid helper, as on the whole-grid routes, with this
+    floor: the first node in C order whose |det J| is at or below it
+    raises DegenerateJacobian, after the whole grid is evaluated.  A
+    parameter point outside the open boxes U x V raises ValueError,
+    naming the point and the box.
     """
 
-    def __init__(
-        self,
-        family: ParametrizedFamily,
-        p: float,
-        quad: QuadratureScheme,
-        inverse=None,
-    ):
+    def __init__(self, family: ParametrizedFamily, p: float, quad: QuadratureScheme):
         self.family = family
         self.p = float(p)
         self.q = conjugate_exponent(p)
-        self.inverse = inverse
         self._floor = jacobian_floor(family)
         self._inner_nodes, self._inner_weights = quad.box_rule(family.surface_box)
-        self._seed_params = None
-        self._seed_images = None
-        self._diameter = None
 
     # -- surface weight ------------------------------------------------
 
@@ -379,8 +372,7 @@ class ExtremalDensity:
         x = _point(x, fam.n - fam.m, "x")
         _check_inside(x[None], fam.param_box, "x")
         nodes, weights = self._inner_nodes, self._inner_weights
-        fields = node_fields(fam, x[None, None], nodes[None])
-        _check_floor(fields.dets, self._floor, x[None], nodes)
+        fields = _grid_fields(fam, x[None], nodes, self._floor)
         return float(_weights_from_fields(fields, self.q, x[None], nodes, weights)[0])
 
     # -- evaluation ----------------------------------------------------
@@ -407,8 +399,7 @@ class ExtremalDensity:
         fam, nodes, weights = self.family, self._inner_nodes, self._inner_weights
         same = np.array_equal(y_nodes, nodes)
         y_grid = nodes if same else np.concatenate([y_nodes, nodes])
-        grid = node_fields(fam, x_nodes[:, None], y_grid[None])
-        _check_floor(grid.dets, self._floor, x_nodes, y_grid)
+        grid = _grid_fields(fam, x_nodes, y_grid, self._floor)
         if same:
             fields = inner = grid
         else:
@@ -420,40 +411,34 @@ class ExtremalDensity:
 
     def evaluate_ambient(self, z) -> float:
         """Density value at an ambient point of the swept region."""
-        z = _point(z, self.family.n, "z")
-        if self.inverse is not None:
-            x, y = self.inverse(z)
-        else:
-            x, y = self._invert(z)
-        return self.evaluate_param(x, y)
+        return self.evaluate_param(*self._invert(_point(z, self.family.n, "z")))
 
     # -- Newton inversion ----------------------------------------------
 
-    def _ensure_seeds(self):
-        if self._seed_params is not None:
-            return
+    @functools.cached_property
+    def _seeds(self):
+        """Newton's starting points, the nodes of an 8-per-axis forward
+        grid: their parameters, their images and the images' diameter."""
         fam = self.family
-        per_axis = 8
-        x, y = fam.param_box.grid(per_axis), fam.surface_box.grid(per_axis)
+        x, y = fam.param_box.grid(8), fam.surface_box.grid(8)
         x, y = _pairs(x[:, None], y[None], (len(x), len(y)))
-        self._seed_params = np.concatenate([x, y], axis=1)
-        self._seed_images = _stacked_map(fam, x, y)
-        span = self._seed_images.max(axis=0) - self._seed_images.min(axis=0)
-        self._diameter = float(np.hypot.reduce(span))
+        images = _stacked_map(fam, x, y)
+        span = images.max(axis=0) - images.min(axis=0)
+        return np.concatenate([x, y], axis=1), images, float(np.hypot.reduce(span))
 
     def _invert(self, z):
-        self._ensure_seeds()
+        seed_params, seed_images, diameter = self._seeds
         fam = self.family
         split = fam.n - fam.m
         lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
         upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
         inset = 1e-9 * (upper - lower)
-        tol = 1e-10 * self._diameter
+        tol = 1e-10 * diameter
 
         # Distances and norms by hypot, which does not overflow for images
         # beyond about 1e154 as squares do.
-        start = int(np.argmin(np.hypot.reduce(self._seed_images - z, axis=1)))
-        w = self._seed_params[start].copy()
+        start = int(np.argmin(np.hypot.reduce(seed_images - z, axis=1)))
+        w = seed_params[start].copy()
         residual = evaluate_map(fam, w[:split], w[split:]) - z
         norm = float(np.hypot.reduce(residual))
         for _ in range(50):
@@ -486,18 +471,14 @@ class ExtremalDensity:
         )
 
 
-def extremal_density(
-    fam: ParametrizedFamily,
-    p: float,
-    quad: QuadratureScheme,
-    inverse=None,
-) -> ExtremalDensity:
+def extremal_density(fam: ParametrizedFamily, p: float, quad: QuadratureScheme) -> ExtremalDensity:
     """Construct the extremal density of the family for exponent p.
 
-    ``inverse``, when given, must map an ambient point z to the pair
-    (x, y) of parameter coordinates with map(x, y) = z.
+    Its floor comes from :func:`jacobian_floor`, and every value from one
+    checked grid; an ambient point is inverted by damped Newton iteration,
+    as :class:`ExtremalDensity` describes.
     """
-    return ExtremalDensity(fam, p, quad, inverse=inverse)
+    return ExtremalDensity(fam, p, quad)
 
 
 def admissibility_check(
@@ -685,7 +666,8 @@ def extremality_probe(
     trials = _count(trials, "trials")
     q = conjugate_exponent(p)
     x_nodes, x_weights, y_nodes, y_weights = _rules(fam, quad)
-    l_vals, fields = _surface_weights(fam, q, x_nodes, y_nodes, y_weights)
+    fields = _grid_fields(fam, x_nodes, y_nodes)
+    l_vals = _weights_from_fields(fields, q, x_nodes, y_nodes, y_weights)
     modulus = _outer_integral(x_weights, l_vals, p)
     density = _density(fields, q, l_vals, x_nodes, y_nodes)
 

@@ -27,6 +27,7 @@ from surfmod import (
     build_entry,
     coarea_check,
     conjugate_exponent,
+    default_quadrature,
     evaluate_map,
     extremal_density,
     extremality_probe,
@@ -414,18 +415,12 @@ def test_extremal_density_parallel_constant():
 
 
 def test_extremal_density_radial_ambient():
-    # 1/(|z| log(r1/r0)), reached both through inversion and a given inverse
+    # 1/(|z| log(r1/r0)), reached through Newton inversion
     entry = make_polar_annulus(1.0, 2.0, mode="radial")
     density = extremal_density(entry.family, 2.0, QUAD)
     z = np.array([1.3, 0.4])
     expected = 1.0 / (np.hypot(*z) * np.log(2.0))
     assert density.evaluate_ambient(z) == pytest.approx(expected, rel=1e-8)
-
-    def inverse(z):
-        return np.array([np.arctan2(z[1], z[0])]), np.array([np.hypot(z[0], z[1])])
-
-    with_inverse = extremal_density(entry.family, 2.0, QUAD, inverse=inverse)
-    assert with_inverse.evaluate_ambient(z) == pytest.approx(expected, rel=1e-12)
 
 
 def test_extremal_density_keeps_no_per_query_state():
@@ -453,6 +448,26 @@ def test_extremal_density_keeps_no_per_query_state():
         density.evaluate_ambient(z)
     assert footprint() == after_one
     assert density.evaluate_ambient(points[0]) == first
+
+
+def test_a_failed_seeding_is_built_again():
+    # the seeds used to be half set when the map failed on their grid
+    fam = make_polar_annulus(1.0, 2.0, mode="radial").family
+    failures = [1]
+
+    def flaky(x, y):
+        images = fam.map(x, y)
+        if len(x) == 64 and failures:
+            failures.pop()
+            images = images.copy()
+            images[0] = np.nan
+        return images
+
+    density = extremal_density(replace(fam, map=flaky), 2.0, QUAD)
+    z = np.array([1.3, 0.4])
+    with pytest.raises(EvaluationFailure, match="map returned non-finite values"):
+        density.evaluate_ambient(z)
+    assert density.evaluate_ambient(z) == pytest.approx(1.0 / (np.hypot(*z) * np.log(2.0)), rel=1e-8)
 
 
 def _density_families():
@@ -531,24 +546,20 @@ def test_density_evaluations_call_the_jacobian_once():
 
 def test_misshapen_points_raise_value_error():
     fam = make_polar_annulus(1.0, 2.0, mode="radial").family
-
-    def inverse(z):
-        raise AssertionError(f"the inverse was called with {z}")
-
-    for density in (extremal_density(fam, 2.0, QUAD), extremal_density(fam, 2.0, QUAD, inverse)):
-        for z in ([1.5], [1.5, 0.0, 0.0], [[1.5, 0.0]]):
-            with pytest.raises(ValueError, match=r"z must have shape \(2,\)"):
-                density.evaluate_ambient(z)
-        with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
-            density.evaluate_param([0.5, 0.1], [1.5])
-        with pytest.raises(ValueError, match=r"y must have shape \(1,\)"):
-            density.evaluate_param([0.5], [1.5, 1.2])
-        with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
-            density.l_value([0.5, 0.2])
-        # a (2, 2) array is not four one-parameter surfaces
-        for samples in ([[0.5, 0.6], [0.7, 0.8]], [0.5, 0.6], [[[0.5]]]):
-            with pytest.raises(ValueError, match=r"x_samples must have shape \(N, 1\)"):
-                admissibility_check(fam, density, QUAD, samples)
+    density = extremal_density(fam, 2.0, QUAD)
+    for z in ([1.5], [1.5, 0.0, 0.0], [[1.5, 0.0]]):
+        with pytest.raises(ValueError, match=r"z must have shape \(2,\)"):
+            density.evaluate_ambient(z)
+    with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
+        density.evaluate_param([0.5, 0.1], [1.5])
+    with pytest.raises(ValueError, match=r"y must have shape \(1,\)"):
+        density.evaluate_param([0.5], [1.5, 1.2])
+    with pytest.raises(ValueError, match=r"x must have shape \(1,\)"):
+        density.l_value([0.5, 0.2])
+    # a (2, 2) array is not four one-parameter surfaces
+    for samples in ([[0.5, 0.6], [0.7, 0.8]], [0.5, 0.6], [[[0.5]]]):
+        with pytest.raises(ValueError, match=r"x_samples must have shape \(N, 1\)"):
+            admissibility_check(fam, density, QUAD, samples)
 
 
 def test_inversion_failure_outside_image():
@@ -556,6 +567,22 @@ def test_inversion_failure_outside_image():
     density = extremal_density(entry.family, 2.0, QUAD)
     with pytest.raises(InversionFailure):
         density.evaluate_ambient([5.0, 5.0])
+
+
+@pytest.mark.parametrize("mode", ["radial", "circular"])
+def test_newton_stalls_on_the_seam_of_the_angle(mode):
+    # the angle's box (0, 2 pi) is entered at most 2 pi 1e-9 inside its ends,
+    # so a point within that of the seam cannot be reached, and one 1e-6
+    # away can: its density is the closed form, 1 / (|z| log 2) for the
+    # rays and 1 / (2 pi |z|) for the circles
+    density = extremal_density(make_polar_annulus(1.0, 2.0, mode=mode).family, 2.0, default_quadrature())
+    expected = 1.0 / (1.5 * (np.log(2.0) if mode == "radial" else 2.0 * np.pi))
+    for theta in (0.0, 1e-9, -1e-9):
+        with pytest.raises(InversionFailure, match="damped Newton stalled"):
+            density.evaluate_ambient(1.5 * np.array([np.cos(theta), np.sin(theta)]))
+    for theta in (1e-6, -1e-6):
+        value = density.evaluate_ambient(1.5 * np.array([np.cos(theta), np.sin(theta)]))
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def _identity_claiming(matrix):
@@ -893,12 +920,27 @@ def test_shear_families_match_the_closed_form(data):
     assert extremality_probe(entry.family, p, quad, trials=5) >= -1e-9
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported lazily, by the discrete oracle only
+def _run_fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter that imports this surfmod."""
     import surfmod
 
     src = os.path.dirname(os.path.dirname(surfmod.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by the discrete oracle only
     code = "import sys, surfmod; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_a_density_loads_no_numpy_ma():
+    # np.median would import numpy.ma on its first call; the floor's median does not
+    code = (
+        "import sys, surfmod\n"
+        "fam = surfmod.make_polar_annulus(1.0, 2.0, mode='radial').family\n"
+        "density = surfmod.extremal_density(fam, 2.0, surfmod.default_quadrature())\n"
+        "print(density.evaluate_param([0.5], [1.5]), 'numpy.ma' in sys.modules)"
+    )
+    assert _run_fresh(code).split()[1] == "False"
