@@ -112,10 +112,11 @@ def _median(values) -> float:
     upper one, read with ``max`` instead of a second partition point,
     which costs numpy a pass several times slower.
 
-    ``np.median`` itself imports ``numpy.ma`` on its first call, which
-    raised peak RSS by 2.0 MB in a fresh process (numpy 2.4, x86-64
-    Linux); in its place here, it raised the benchmark's ``peak_rss_mb``
-    by 1.1-1.6 MB on ``reduction-sweep`` and ``ambient-queries``.
+    On numpy 2.x, ``np.median`` itself imports ``numpy.ma`` on its first
+    call (numpy 1.x imports it with numpy), which raised peak RSS by
+    2.0 MB in a fresh process (numpy 2.4, x86-64 Linux); in its place
+    here, it raised the benchmark's ``peak_rss_mb`` by 1.1-1.6 MB on
+    ``reduction-sweep`` and ``ambient-queries``.
     """
     flat = values.ravel()
     half = flat.size // 2
@@ -148,15 +149,12 @@ def jacobian_floor(fam: ParametrizedFamily) -> float:
 
 
 def _check_inside(rows, box, label):
-    """Raise ValueError at the first of the (N, d) ``rows`` outside the open ``box``; NaN is outside."""
-    inside = (box.lower < rows) & (rows < box.upper)
-    if not inside.all():
-        _raise_first(
-            ~inside.all(axis=1),
-            ValueError,
-            lambda i: f"{label}={rows[i]} lies outside the open box "
-            + " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(box.lower.tolist(), box.upper.tolist())),
-        )
+    """Raise ValueError at the first of the (N, d) ``rows`` outside the open ``box``."""
+    lower, upper = box.lower.tolist(), box.upper.tolist()
+    for row in rows.tolist():
+        if not all(lo < v < hi for v, lo, hi in zip(row, lower, upper)):
+            bounds = " x ".join(f"({lo!r}, {hi!r})" for lo, hi in zip(lower, upper))
+            raise ValueError(f"{label}={np.array(row)} lies outside the open box {bounds}")
 
 
 def _rules(fam, quad):

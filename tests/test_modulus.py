@@ -570,19 +570,33 @@ def test_inversion_failure_outside_image():
 
 
 @pytest.mark.parametrize("mode", ["radial", "circular"])
-def test_newton_stalls_on_the_seam_of_the_angle(mode):
-    # the angle's box (0, 2 pi) is entered at most 2 pi 1e-9 inside its ends,
-    # so a point within that of the seam cannot be reached, and one 1e-6
-    # away can: its density is the closed form, 1 / (|z| log 2) for the
-    # rays and 1 / (2 pi |z|) for the circles
+def test_newton_stalls_off_the_annulus(mode):
+    # beyond the outer circle and inside the hole, every damped step is
+    # clipped back into the radius's box and none lowers the residual
+    density = extremal_density(make_polar_annulus(1.0, 2.0, mode=mode).family, 2.0, default_quadrature())
+    for radius in (3.0, 0.5):
+        with pytest.raises(InversionFailure, match="damped Newton stalled"):
+            density.evaluate_ambient(radius * np.array([np.cos(1.0), np.sin(1.0)]))
+
+
+# Newton's trials are clipped 1e-9 of the box width inside the box, so a
+# point nearer the seam than that is refused (FOUND in CHANGES.md:
+# ExtremalDensity._invert); a smaller inset turns these into passes
+_SEAM_INSET = pytest.mark.xfail(strict=True, raises=InversionFailure, reason="Newton's clip inset of 1e-9")
+
+
+@pytest.mark.parametrize(
+    "theta", [1e-6, -1e-6, *(pytest.param(t, marks=_SEAM_INSET) for t in (1e-9, -1e-9, 0.0))]
+)
+@pytest.mark.parametrize("mode", ["radial", "circular"])
+def test_a_point_next_to_the_seam_of_the_angle_is_reached(mode, theta):
+    # the seam theta = 0 lies on the annulus, within the residual tolerance
+    # of the image; the density is the closed form, 1 / (|z| log 2) for
+    # the rays and 1 / (2 pi |z|) for the circles
     density = extremal_density(make_polar_annulus(1.0, 2.0, mode=mode).family, 2.0, default_quadrature())
     expected = 1.0 / (1.5 * (np.log(2.0) if mode == "radial" else 2.0 * np.pi))
-    for theta in (0.0, 1e-9, -1e-9):
-        with pytest.raises(InversionFailure, match="damped Newton stalled"):
-            density.evaluate_ambient(1.5 * np.array([np.cos(theta), np.sin(theta)]))
-    for theta in (1e-6, -1e-6):
-        value = density.evaluate_ambient(1.5 * np.array([np.cos(theta), np.sin(theta)]))
-        assert value == pytest.approx(expected, rel=1e-12)
+    value = density.evaluate_ambient(1.5 * np.array([np.cos(theta), np.sin(theta)]))
+    assert value == pytest.approx(expected, rel=1e-12)
 
 
 def _identity_claiming(matrix):
@@ -936,11 +950,18 @@ def test_import_loads_no_scipy():
 
 
 def test_a_density_loads_no_numpy_ma():
-    # np.median would import numpy.ma on its first call; the floor's median does not
+    # np.median would import numpy.ma on its first call; the floor's median
+    # does not.  numpy before 2.0 imports numpy.ma with numpy itself.
     code = (
-        "import sys, surfmod\n"
+        "import sys, numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "import surfmod\n"
         "fam = surfmod.make_polar_annulus(1.0, 2.0, mode='radial').family\n"
         "density = surfmod.extremal_density(fam, 2.0, surfmod.default_quadrature())\n"
-        "print(density.evaluate_param([0.5], [1.5]), 'numpy.ma' in sys.modules)"
+        "density.evaluate_param([0.5], [1.5])\n"
+        "print('numpy.ma' in sys.modules)"
     )
-    assert _run_fresh(code).split()[1] == "False"
+    with_numpy, after_density = _run_fresh(code).split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.ma on import")
+    assert after_density == "False"
