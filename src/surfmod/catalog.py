@@ -225,86 +225,11 @@ def make_shear(param_box, surface_box, shear) -> CatalogEntry:
     return _linear_entry("shear", L, u, v, {"u": _bounds(u), "v": _bounds(v), "b": s.tolist()})
 
 
-def _polar_family(u, v, radius_first: bool) -> ParametrizedFamily:
-    """Polar map (r, t) -> (r cos t, r sin t) on U x V.
-
-    The radius is the parameter (circles) when ``radius_first``, and the
-    surface coordinate (rays) otherwise.
-    """
-
-    def split(x, y):
-        return (x[..., 0], y[..., 0]) if radius_first else (y[..., 0], x[..., 0])
-
-    # Filled in place: nested np.stack costs a pass per level.
-    def polar_map(x, y):
-        r, t = split(x, y)
-        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2,))
-        np.multiply(r, np.cos(t), out=out[..., 0])
-        np.multiply(r, np.sin(t), out=out[..., 1])
-        return out
-
-    def polar_jac(x, y):
-        r, t = split(x, y)
-        c, sn = np.cos(t), np.sin(t)
-        dr, dt = (0, 1) if radius_first else (1, 0)
-        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2, 2))
-        out[..., 0, dr] = c
-        out[..., 1, dr] = sn
-        np.multiply(-r, sn, out=out[..., 0, dt])
-        np.multiply(r, c, out=out[..., 1, dt])
-        return out
-
-    return ParametrizedFamily(n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac)
-
-
-def _annulus_radial(inner: float, outer: float, transverse) -> CatalogEntry:
-    def angle(z):
-        return (np.arctan2(z[..., 1], z[..., 0]) % (2.0 * np.pi))[..., None]
-
-    def angle_jac(z):
-        rr = z[..., 0] ** 2 + z[..., 1] ** 2
-        return np.stack([-z[..., 1] / rr, z[..., 0] / rr], axis=-1)[..., None, :]
-
-    def expected(e):
-        q = conjugate_exponent(e)
-        if abs(q - 2.0) < 1e-8:
-            weight = np.log(outer / inner)
-        else:
-            weight = (outer ** (2.0 - q) - inner ** (2.0 - q)) / (2.0 - q)
-        return 2.0 * np.pi * weight ** (1.0 - e)
-
-    return CatalogEntry(
-        name="annulus-radial",
-        family=_polar_family(_box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)]), False),
-        expected_modulus=expected,
-        parameters={"r0": float(inner), "r1": float(outer)},
-        _submersion=lambda: Submersion(n=2, k=1, map=angle, jacobian=angle_jac),
-        _transverse=transverse,
-    )
-
-
-def _annulus_circular(inner: float, outer: float, transverse) -> CatalogEntry:
-    def radius(z):
-        return np.hypot(z[..., 0], z[..., 1])[..., None]
-
-    def radius_jac(z):
-        return (z / radius(z))[..., None, :]
-
-    def expected(e):
-        if abs(e - 2.0) < 1e-8:
-            weight = np.log(outer / inner)
-        else:
-            weight = (outer ** (2.0 - e) - inner ** (2.0 - e)) / (2.0 - e)
-        return (2.0 * np.pi) ** (1.0 - e) * weight
-
-    return CatalogEntry(
-        name="annulus-circular",
-        family=_polar_family(_box([(inner, outer)]), _box([(0.0, 2.0 * np.pi)]), True),
-        expected_modulus=expected,
-        parameters={"r0": float(inner), "r1": float(outer)},
-        _submersion=lambda: Submersion(n=2, k=1, map=radius, jacobian=radius_jac),
-        _transverse=transverse,
-    )
+def _radial_power(inner: float, outer: float, s: float) -> float:
+    """Integral of r^(1-s) over (inner, outer): a logarithm at s = 2."""
+    if abs(s - 2.0) < 1e-8:
+        return np.log(outer / inner)
+    return (outer ** (2.0 - s) - inner ** (2.0 - s)) / (2.0 - s)
 
 
 def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "radial") -> CatalogEntry:
@@ -331,9 +256,69 @@ def make_polar_annulus(inner_radius: float, outer_radius: float, mode: str = "ra
 
 def _annulus(inner: float, outer: float, radial: bool, back=None) -> CatalogEntry:
     """The radial or the circular annulus entry, whose ``transverse`` is
-    ``back`` or, without one, the other mode built on first read."""
-    build = _annulus_radial if radial else _annulus_circular
-    entry = build(inner, outer, lambda: back or _annulus(inner, outer, not radial, entry))
+    ``back`` or, without one, the other mode built on first read.
+
+    Both sweep the polar map (r, t) -> (r cos t, r sin t); the radius is
+    the surface coordinate (rays) when ``radial``, and the parameter
+    (circles) otherwise.  The submersion is the angle or the radius.
+    """
+    # The Jacobian's columns for r and t; the parameter's is column 0.
+    dr, dt = (1, 0) if radial else (0, 1)
+
+    def split(x, y):
+        return (y[..., 0], x[..., 0]) if radial else (x[..., 0], y[..., 0])
+
+    # Filled in place: nested np.stack costs a pass per level.
+    def polar_map(x, y):
+        r, t = split(x, y)
+        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2,))
+        np.multiply(r, np.cos(t), out=out[..., 0])
+        np.multiply(r, np.sin(t), out=out[..., 1])
+        return out
+
+    def polar_jac(x, y):
+        r, t = split(x, y)
+        c, sn = np.cos(t), np.sin(t)
+        out = np.empty(np.broadcast_shapes(r.shape, t.shape) + (2, 2))
+        out[..., 0, dr] = c
+        out[..., 1, dr] = sn
+        np.multiply(-r, sn, out=out[..., 0, dt])
+        np.multiply(r, c, out=out[..., 1, dt])
+        return out
+
+    if radial:
+
+        def level(z):
+            return (np.arctan2(z[..., 1], z[..., 0]) % (2.0 * np.pi))[..., None]
+
+        def level_jac(z):
+            rr = z[..., 0] ** 2 + z[..., 1] ** 2
+            return np.stack([-z[..., 1] / rr, z[..., 0] / rr], axis=-1)[..., None, :]
+
+        def expected(e):
+            return 2.0 * np.pi * _radial_power(inner, outer, conjugate_exponent(e)) ** (1.0 - e)
+
+    else:
+
+        def level(z):
+            return np.hypot(z[..., 0], z[..., 1])[..., None]
+
+        def level_jac(z):
+            return (z / level(z))[..., None, :]
+
+        def expected(e):
+            return (2.0 * np.pi) ** (1.0 - e) * _radial_power(inner, outer, e)
+
+    turn, radii = _box([(0.0, 2.0 * np.pi)]), _box([(inner, outer)])
+    u, v = (turn, radii) if radial else (radii, turn)
+    entry = CatalogEntry(
+        name="annulus-radial" if radial else "annulus-circular",
+        family=ParametrizedFamily(n=2, m=1, param_box=u, surface_box=v, map=polar_map, jacobian=polar_jac),
+        expected_modulus=expected,
+        parameters={"r0": float(inner), "r1": float(outer)},
+        _submersion=lambda: Submersion(n=2, k=1, map=level, jacobian=level_jac),
+        _transverse=lambda: back or _annulus(inner, outer, not radial, entry),
+    )
     return entry
 
 
@@ -385,28 +370,38 @@ def make_condenser(base: ParametrizedFamily, outer: AmbientMap) -> CatalogEntry:
 
 # -- registry for the command-line front end ---------------------------
 
-_FAMILY_NAMES = (
-    "parallel",
-    "shear",
-    "annulus-radial",
-    "annulus-circular",
-    "pq-map",
-    "condenser",
-)
+# The parameters each family takes, by name.
+_FAMILY_PARAMETERS = {
+    "parallel": ("u", "v"),
+    "shear": ("u", "v", "b"),
+    "annulus-radial": ("r0", "r1"),
+    "annulus-circular": ("r0", "r1"),
+    "pq-map": ("p", "scale"),
+    "condenser": ("sx", "sy"),
+}
 
 
 def available_families() -> tuple:
     """Names accepted by :func:`build_entry`."""
-    return _FAMILY_NAMES
+    return tuple(_FAMILY_PARAMETERS)
 
 
 def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) -> CatalogEntry:
     """Build a catalog entry by name with a flat parameter mapping.
 
-    Unknown names and malformed parameters raise ConfigError so the
-    command-line layer can report them as configuration problems.
+    Unknown names, parameters the family does not take and malformed
+    parameters raise ConfigError so the command-line layer can report
+    them as configuration problems.
     """
     params = dict(parameters or {})
+    if name not in _FAMILY_PARAMETERS:
+        raise ConfigError(f"unknown family {name!r}; choose one of {', '.join(_FAMILY_PARAMETERS)}")
+    unknown = set(params) - set(_FAMILY_PARAMETERS[name])
+    if unknown:
+        raise ConfigError(
+            f"family {name!r} takes no parameter {', '.join(sorted(map(repr, unknown)))}; "
+            f"it takes {', '.join(map(repr, _FAMILY_PARAMETERS[name]))}"
+        )
     try:
         if name == "parallel":
             return make_parallel(params.get("u", [(0.0, 1.0)]), params.get("v", [(0.0, 1.0)]))
@@ -415,32 +410,27 @@ def build_entry(name: str, parameters: Mapping | None = None, p: float = 2.0) ->
             v = _box(params.get("v", [(0.0, 1.0)]))
             shear = params.get("b", np.ones((u.dim, v.dim)))
             return make_shear(u, v, shear)
-        if name == "annulus-radial":
-            return make_polar_annulus(params.get("r0", 1.0), params.get("r1", 2.0), mode="radial")
-        if name == "annulus-circular":
-            return make_polar_annulus(params.get("r0", 1.0), params.get("r1", 2.0), mode="circular")
+        if name in ("annulus-radial", "annulus-circular"):
+            mode = name.removeprefix("annulus-")
+            return make_polar_annulus(params.get("r0", 1.0), params.get("r1", 2.0), mode=mode)
         if name == "pq-map":
             return make_pq_map(params.get("p", p), scale=params.get("scale", 2.0))
-        if name == "condenser":
-            sx = float(params.get("sx", 2.0))
-            sy = float(params.get("sy", 1.0))
-            if not (np.isfinite(sx) and np.isfinite(sy)) or sx == 0.0 or sy == 0.0:
-                raise ValueError(f"sx and sy must be finite and nonzero, got ({sx}, {sy})")
-            base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
-            diag = np.array([[sx, 0.0], [0.0, sy]])
-            outer = AmbientMap(n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag))
-            # Unit flat surfaces stretched by diag(sx, sy) all weigh
-            # l = |sx|^(1-q) |sy|, and (1-q)(1-p) = 1 gives
-            # |sx| |sy|^(1-p); a reflection keeps the modulus.
-            return replace(
-                make_condenser(base, outer),
-                expected_modulus=lambda e: abs(sx) * abs(sy) ** (1.0 - e),
-            )
+        sx = float(params.get("sx", 2.0))
+        sy = float(params.get("sy", 1.0))
+        if not (np.isfinite(sx) and np.isfinite(sy)) or sx == 0.0 or sy == 0.0:
+            raise ValueError(f"sx and sy must be finite and nonzero, got ({sx}, {sy})")
+        base = make_parallel([(0.0, 1.0)], [(0.0, 1.0)]).family
+        diag = np.array([[sx, 0.0], [0.0, sy]])
+        outer = AmbientMap(n=2, map=lambda z: z @ diag.T, jacobian=_constant(diag))
+        # Unit flat surfaces stretched by diag(sx, sy) all weigh
+        # l = |sx|^(1-q) |sy|, and (1-q)(1-p) = 1 gives
+        # |sx| |sy|^(1-p); a reflection keeps the modulus.
+        return replace(
+            make_condenser(base, outer),
+            expected_modulus=lambda e: abs(sx) * abs(sy) ** (1.0 - e),
+        )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid parameters for family {name!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown family {name!r}; choose one of {', '.join(_FAMILY_NAMES)}"
-    )
 
 
 def standard_entries(include_condenser: bool = False) -> list:

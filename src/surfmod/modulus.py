@@ -272,7 +272,7 @@ def _outer_integral(x_weights, l_vals, p) -> float:
     return modulus
 
 
-def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
+def _report(p, q, x_nodes, x_weights, l_vals, dets, residual=None) -> "ModulusReport":
     """Integrate l(x)^(1-p) over the outer nodes into a ModulusReport."""
     return ModulusReport(
         p=float(p),
@@ -281,6 +281,7 @@ def _report(p, q, x_nodes, x_weights, l_vals, dets) -> "ModulusReport":
         l_samples=tuple(zip(map(tuple, x_nodes.tolist()), l_vals.tolist())),
         min_jacobian=float(dets.min()),
         node_count=dets.size,
+        key_relation_residual=residual,
     )
 
 
@@ -291,6 +292,9 @@ class ModulusReport:
     ``l_samples`` holds one (parameter point, surface weight) pair per
     outer quadrature node, ``min_jacobian`` the smallest |det J| visited,
     and ``node_count`` the total number of integrand evaluations.
+    ``key_relation_residual`` is the worst node residual of the key
+    relation |A| = |det J| |DF| from :func:`submersion_modulus`, and None
+    from :func:`modulus_p`, which has no submersion.
     """
 
     p: float
@@ -299,6 +303,7 @@ class ModulusReport:
     l_samples: tuple
     min_jacobian: float
     node_count: int
+    key_relation_residual: float | None = None
 
     def __post_init__(self):
         if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
@@ -416,21 +421,23 @@ class ExtremalDensity:
     @functools.cached_property
     def _seeds(self):
         """Newton's starting points, the nodes of an 8-per-axis forward
-        grid: their parameters, their images and the images' diameter."""
+        grid: their parameters, their images and the images' diameter;
+        then the innermost floats of the open box U x V, which bound
+        every trial."""
         fam = self.family
         x, y = fam.param_box.grid(8), fam.surface_box.grid(8)
         x, y = _pairs(x[:, None], y[None], (len(x), len(y)))
         images = _stacked_map(fam, x, y)
         span = images.max(axis=0) - images.min(axis=0)
-        return np.concatenate([x, y], axis=1), images, float(np.hypot.reduce(span))
-
-    def _invert(self, z):
-        seed_params, seed_images, diameter = self._seeds
-        fam = self.family
-        split = fam.n - fam.m
         lower = np.concatenate([fam.param_box.lower, fam.surface_box.lower])
         upper = np.concatenate([fam.param_box.upper, fam.surface_box.upper])
-        inset = 1e-9 * (upper - lower)
+        inside = np.nextafter(lower, upper), np.nextafter(upper, lower)
+        return np.concatenate([x, y], axis=1), images, float(np.hypot.reduce(span)), inside
+
+    def _invert(self, z):
+        seed_params, seed_images, diameter, (lower, upper) = self._seeds
+        fam = self.family
+        split = fam.n - fam.m
         tol = 1e-10 * diameter
 
         # Distances and norms by hypot, which does not overflow for images
@@ -451,7 +458,7 @@ class ExtremalDensity:
                 ) from exc
             scale = 1.0
             for _ in range(30):
-                trial = np.clip(w + scale * step, lower + inset, upper - inset)
+                trial = np.clip(w + scale * step, lower, upper)
                 trial_residual = evaluate_map(fam, trial[:split], trial[split:]) - z
                 trial_norm = float(np.hypot.reduce(trial_residual))
                 if trial_norm < norm:
@@ -567,7 +574,8 @@ def submersion_modulus(
     the first such node's image in C order.  A rank-deficient DF has
     residual 1, so it raises there too.  A |det J| at or below the
     degeneracy floor, 1e-12 times the median |det J| over the same grid,
-    raises DegenerateJacobian before either.
+    raises DegenerateJacobian before either.  The largest residual over
+    the grid is returned as the report's ``key_relation_residual``.
     """
     q = conjugate_exponent(p)
     fam = levelset_param
@@ -584,7 +592,7 @@ def submersion_modulus(
     )
     level = _power(fields.gradients, 1.0, q - 1.0, factor=fields.areas) @ y_weights
     _check_weights(level, x_nodes, "level-set weight")
-    return _report(p, q, x_nodes, x_weights, level, fields.dets)
+    return _report(p, q, x_nodes, x_weights, level, fields.dets, float(residuals.max()))
 
 
 def _waves(nodes, box, orders, phases):

@@ -268,6 +268,14 @@ def test_build_entry_registry():
         build_entry("shear", {"b": [[1.0, 2.0]]})
 
 
+def test_build_entry_rejects_a_parameter_the_family_does_not_take():
+    # {"R0": 0.1} built the (1, 2) annulus
+    with pytest.raises(ConfigError, match="'annulus-radial' takes no parameter 'R0'; it takes 'r0', 'r1'"):
+        build_entry("annulus-radial", {"R0": 0.1})
+    with pytest.raises(ConfigError, match="takes no parameter 'r0', 'r1'; it takes 'u', 'v'"):
+        build_entry("parallel", {"r1": 2.0, "r0": 0.5})
+
+
 @pytest.mark.parametrize("name", available_families())
 def test_registry_maps_broadcast_a_tensor_grid(name):
     # x (3, k) and y (2, m) as x[:, None] and y[None]: the linear maps used
@@ -419,13 +427,9 @@ def test_a_shear_has_no_transverse():
 
 def test_polar_annulus_builds_the_other_mode_on_first_read(monkeypatch):
     built = []
-    for name in ("_annulus_radial", "_annulus_circular"):
-        build = getattr(catalog, name)
-        monkeypatch.setattr(catalog, name, lambda *args, b=build, n=name: built.append(n) or b(*args))
-    for mode, first, other in (
-        ("radial", "_annulus_radial", "_annulus_circular"),
-        ("circular", "_annulus_circular", "_annulus_radial"),
-    ):
+    build = catalog._annulus
+    monkeypatch.setattr(catalog, "_annulus", lambda *args: built.append(args[2]) or build(*args))
+    for mode, first, other in (("radial", True, False), ("circular", False, True)):
         built.clear()
         entry = make_polar_annulus(1.0, 2.0, mode=mode)
         assert built == [first]

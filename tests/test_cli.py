@@ -1,11 +1,12 @@
 """Command-line interface: output schema, formats, and exit codes."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from surfmod import DegenerateJacobian, cli
+from surfmod import DegenerateJacobian, Submersion, cli
 
 FAST = ["--order", "6", "--subdivisions", "2"]
 
@@ -151,7 +152,7 @@ def test_verify_passes_for_annulus(capsys):
     )
     captured = capsys.readouterr().out
     assert code == 0
-    for name in ("admissibility", "coarea", "route-equivalence", "extremality"):
+    for name in ("admissibility", "key-relation", "route-equivalence", "extremality"):
         assert f"PASS {name}" in captured
 
 
@@ -159,8 +160,31 @@ def test_verify_skips_missing_submersion(capsys):
     code = cli.main(["verify", "--family", "condenser"] + FAST + ["--trials", "5"])
     captured = capsys.readouterr().out
     assert code == 0
-    assert "SKIP coarea" in captured
+    assert "SKIP key-relation" in captured
     assert "SKIP route-equivalence" in captured
+    assert "PASS admissibility" in captured
+
+
+def test_verify_fails_the_key_relation_of_a_scaled_submersion(monkeypatch, capsys):
+    # |DF| off by 1e-6 at every node: below submersion_modulus's 1e-5
+    # raise, above verify's 1e-8
+    build = cli.build_entry
+
+    def scaled(*args, **kwargs):
+        entry = build(*args, **kwargs)
+        sub, c = entry.submersion, 1.0 + 1e-6
+        return replace(
+            entry,
+            _submersion=lambda: Submersion(
+                n=sub.n, k=sub.k, map=lambda z: c * sub.map(z), jacobian=lambda z: c * sub.jacobian(z)
+            ),
+        )
+
+    monkeypatch.setattr(cli, "build_entry", scaled)
+    code = cli.main(["verify", "--family", "annulus-radial"] + FAST + ["--trials", "5"])
+    captured = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL key-relation: 1.000e-06" in captured
     assert "PASS admissibility" in captured
 
 
@@ -186,7 +210,7 @@ def test_verify_a_tiny_box_beyond_the_largest_float_power(capsys):
 
 @pytest.mark.parametrize("family", ["annulus-radial", "condenser"])
 def test_verify_csv(tmp_path, family):
-    # annulus-radial has a submersion; the condenser skips coarea and route-equivalence
+    # annulus-radial has a submersion; the condenser skips key-relation and route-equivalence
     out = tmp_path / "verify.csv"
     code = cli.main(
         ["verify", "--family", family] + FAST + ["--trials", "5", "--format", "csv", "--output", str(out)]
@@ -195,9 +219,9 @@ def test_verify_csv(tmp_path, family):
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
     assert rows[0] == "name,passed,value,tolerance"
     cells = {row.split(",")[0]: row.split(",")[1:] for row in rows[1:]}
-    assert list(cells) == ["admissibility", "coarea", "route-equivalence", "extremality"]
+    assert list(cells) == ["admissibility", "key-relation", "route-equivalence", "extremality"]
     for name, (passed, value, tolerance) in cells.items():
-        if family == "condenser" and name in ("coarea", "route-equivalence"):
+        if family == "condenser" and name in ("key-relation", "route-equivalence"):
             assert (passed, value, tolerance) == ("", "", "")
         else:
             assert passed == "true"
@@ -230,6 +254,21 @@ def test_cross_validate_within_band(tmp_path, capsys):
 
 def test_unknown_family_is_config_error():
     assert cli.main(["compute", "--family", "klein-bottle"]) == 2
+
+
+def test_a_parameter_the_family_does_not_take_is_config_error(capsys):
+    # --r0 set the parallel family nothing, and it printed the unit square
+    assert cli.main(["compute", "--family", "parallel", "--r0", "0.5"]) == 2
+    assert "takes no parameter 'r0'; it takes 'u', 'v'" in capsys.readouterr().err
+
+
+def test_oracle_counts_are_not_family_parameters(tmp_path, capsys):
+    args = ["--family", "parallel", "--ladder", "4"]
+    assert cli.main(["cross-validate"] + args + ["--surfaces", "12", "--samples", "16"]) == 0
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"parameters": {"surfaces": 12, "samples": 16}}))
+    assert cli.main(["cross-validate", "--config", str(config)] + args) == 0
+    assert "PASS final gap" in capsys.readouterr().out
 
 
 def test_bad_exponent_is_config_error():

@@ -526,9 +526,13 @@ def test_batched_probe_rejects_a_mismatched_pair(monkeypatch):
     for sub in (radius, replace(radius, jacobian=None)):
         with pytest.raises(InconsistentSubmersion, match="submersion_modulus"):
             submersion_modulus(sub, radial.family, 2.0, quad)
-    circles = catalog._annulus_circular
-    swapped = lambda *args: replace(circles(*args), _submersion=lambda: radial.submersion)
-    monkeypatch.setattr(catalog, "_annulus_circular", swapped)
+    annulus = catalog._annulus
+
+    def swapped(inner, outer, rays, back=None):
+        entry = annulus(inner, outer, rays, back)
+        return entry if rays else replace(entry, _submersion=lambda: radial.submersion)
+
+    monkeypatch.setattr(catalog, "_annulus", swapped)
     # reading the swapped submersion checks nothing against the family; the
     # routes that integrate the pair see the mismatch
     crossed = make_polar_annulus(1.0, 2.0, mode="radial").transverse

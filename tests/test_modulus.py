@@ -579,15 +579,9 @@ def test_newton_stalls_off_the_annulus(mode):
             density.evaluate_ambient(radius * np.array([np.cos(1.0), np.sin(1.0)]))
 
 
-# Newton's trials are clipped 1e-9 of the box width inside the box, so a
-# point nearer the seam than that is refused (FOUND in CHANGES.md:
-# ExtremalDensity._invert); a smaller inset turns these into passes
-_SEAM_INSET = pytest.mark.xfail(strict=True, raises=InversionFailure, reason="Newton's clip inset of 1e-9")
-
-
-@pytest.mark.parametrize(
-    "theta", [1e-6, -1e-6, *(pytest.param(t, marks=_SEAM_INSET) for t in (1e-9, -1e-9, 0.0))]
-)
+# Newton's trials are clipped to the innermost floats of the open box, so
+# a point on the seam itself is reached from either side
+@pytest.mark.parametrize("theta", [1e-6, -1e-6, 1e-9, -1e-9, 0.0])
 @pytest.mark.parametrize("mode", ["radial", "circular"])
 def test_a_point_next_to_the_seam_of_the_angle_is_reached(mode, theta):
     # the seam theta = 0 lies on the annulus, within the residual tolerance
@@ -725,6 +719,29 @@ def test_submersion_route_radial_value():
     entry = make_polar_annulus(1.0, 2.0, mode="radial")
     report = submersion_modulus(entry.submersion, entry.family, 2.0, QUAD)
     assert report.modulus == pytest.approx(2.0 * np.pi / np.log(2.0), rel=1e-10)
+
+
+def test_key_relation_residual_is_the_worst_node_of_the_submersion_route():
+    for entry in standard_entries():
+        x_nodes, _ = QUAD.box_rule(entry.family.param_box)
+        y_nodes, _ = QUAD.box_rule(entry.family.surface_box)
+        residuals = family_module._key_relation_residuals(
+            entry.family, entry.submersion, x_nodes[:, None], y_nodes[None]
+        )
+        report = submersion_modulus(entry.submersion, entry.family, 2.0, QUAD)
+        assert report.key_relation_residual == residuals.max()
+        assert modulus_p(entry.family, 2.0, QUAD).key_relation_residual is None
+
+
+def test_key_relation_residual_reads_a_scaled_submersion():
+    # F scaled by 1 + 1e-6 scales |DF| by as much: below the route's 1e-5
+    # raise, so it shows only in the residual the report carries
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
+    sub = entry.submersion
+    c = 1.0 + 1e-6
+    scaled = Submersion(n=2, k=1, map=lambda z: c * sub.map(z), jacobian=lambda z: c * sub.jacobian(z))
+    report = submersion_modulus(scaled, entry.family, 2.0, QUAD)
+    assert report.key_relation_residual == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_inconsistent_submersion_rejected():
