@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 def default_quadrature() -> QuadratureScheme:
-    """Gauss-Legendre rule of order 12 on 4 cells per axis."""
-    return QuadratureScheme(order=12, subdivisions=4)
+    """``QuadratureScheme()``, the rule its field defaults set."""
+    return QuadratureScheme()
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,11 @@
 """Command-line front end: compute, verify, and cross-validate moduli.
 
 Exit codes: 0 when the run (and every executed check) succeeds, 1 when
-a verification check fails, 2 for configuration problems, 3 for
-numerical failures inside a computation.  All file output goes through
-a fixed-format JSON or CSV writer that renders numbers with 17
-significant digits, so re-reading a result file and re-serializing it
+a verification check fails, 2 for configuration problems (an output
+path that cannot be written among them), 3 for numerical failures
+inside a computation.  JSON files are ``json.dumps(payload, indent=2)``
+and CSV files write each float as its shortest round-trip ``repr``, as
+``json`` does, so re-reading a result file and re-serializing it
 reproduces the bytes exactly.
 """
 
@@ -47,8 +48,8 @@ class RunConfig:
     family: str
     parameters: dict = field(default_factory=dict)
     p: float = 2.0
-    order: int = 12
-    subdivisions: int = 4
+    order: int = QuadratureScheme.order
+    subdivisions: int = QuadratureScheme.subdivisions
     ladder: tuple = (16, 32, 64)
     output: str | None = None
     format: str = "json"
@@ -67,9 +68,7 @@ def _format_number(value) -> str:
     value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
-    if value == 0.0:
-        return "0"
-    return format(value, ".17g")
+    return repr(value)
 
 
 def _format_cell(cell) -> str:
@@ -79,42 +78,15 @@ def _format_cell(cell) -> str:
     return cell if isinstance(cell, str) else _format_number(cell)
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, np.integer, np.floating)):
-        return _format_number(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(key))}: {_to_json(val, indent + 1)}"
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if any(isinstance(item, (dict, list, tuple)) for item in obj):
-            items = [f"{inner}{_to_json(item, indent + 1)}" for item in obj]
-            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        return "[" + ", ".join(_to_json(item, indent) for item in obj) + "]"
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 def _write_output(payload: dict, csv_rows, config: RunConfig):
     if config.output is None:
         return
     if config.format == "json":
-        text = _to_json(payload) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         header, rows = csv_rows
         lines = [
-            f"# {key} {_format_number(val) if not isinstance(val, str) else val}"
+            f"# {key} {_format_cell(val)}"
             for key, val in payload.items()
             if isinstance(val, (str, int, float, bool))
         ]
@@ -122,8 +94,11 @@ def _write_output(payload: dict, csv_rows, config: RunConfig):
         for row in rows:
             lines.append(",".join(_format_cell(cell) for cell in row))
         text = "\n".join(lines) + "\n"
-    with open(config.output, "w", encoding="ascii") as handle:
-        handle.write(text)
+    try:
+        with open(config.output, "w", encoding="ascii") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {config.output}: {exc}") from exc
 
 
 # -- configuration parsing ---------------------------------------------

@@ -114,7 +114,18 @@ def test_json_round_trip_is_byte_identical(tmp_path):
     _, out = run_compute(tmp_path)
     text = out.read_text()
     reloaded = json.loads(text)
-    assert cli._to_json(reloaded) + "\n" == text
+    assert json.dumps(reloaded, indent=2, allow_nan=False) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("compute", []), ("verify", ["--trials", "5", "--format", "csv"])],
+)
+def test_unwritable_output_is_config_error(tmp_path, capsys, command, extra):
+    out = tmp_path / "missing" / "out.json"
+    code = cli.main([command, "--family", "parallel"] + FAST + extra + ["--output", str(out)])
+    assert code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
 
 
 def test_compute_csv(tmp_path):
@@ -400,7 +411,7 @@ def test_number_formatting_survives_parsing():
     values = [0.1, 2.0 / 3.0, 1e-300, 123456.789, np.pi, 1.0, -0.25]
     for value in values:
         assert float(cli._format_number(value)) == value
-    assert cli._format_number(0.0) == "0"
+    assert cli._format_number(0.0) == "0.0"
     with pytest.raises(ValueError):
         cli._format_number(np.inf)
     with pytest.raises(ValueError):

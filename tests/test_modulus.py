@@ -692,6 +692,21 @@ def test_coarea_check_needs_a_finite_real_integrand():
         assert lhs == pytest.approx(4.0 * np.pi, rel=1e-12) and rhs == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
+def test_coarea_check_names_the_node_of_a_ragged_integrand():
+    # an array among scalars: the values do not stack into one array
+    entry = make_polar_annulus(1.0, 2.0, mode="radial")
+    seen = []
+
+    def integrand(z):
+        seen.append(z)
+        return z if len(seen) == 3 else 1.0
+
+    with pytest.raises(EvaluationFailure) as raised:
+        coarea_check(entry.family, entry.submersion, integrand, QuadratureScheme(2, 1))
+    z = seen[2]
+    assert str(raised.value) == f"integrand returned {z!r} at z={z}, not a finite real number"
+
+
 def test_coarea_identity_quadratic_integrand():
     entry = make_polar_annulus(1.0, 2.0, mode="radial")
     lhs, rhs = coarea_check(

@@ -766,10 +766,22 @@ def test_discretize_matches_an_independent_binning(case, jitter, monkeypatch):
         assert all(counts[name] > 0 for name in reached), counts
 
 
-def test_solve_discrete_reports_a_stalled_projection_arc():
+def test_solve_discrete_reports_a_stalled_projection_arc(monkeypatch):
     # with a tolerance below rounding, the duality gap stops a few ulps
-    # above zero, where no step along the projection arc makes progress
+    # above zero, where no step along the projection arc makes progress;
+    # the floor that rejects such a tolerance up front is lifted to get there
+    monkeypatch.setattr(oracle_module, "_TOL_FLOOR", 0.0)
     fam = make_polar_annulus(1.0, 2.0, mode="circular").family
     problem = discretize_family(fam, 1.5, 2, 6, 8)
     with pytest.raises(NoConvergence, match="no step along the projection arc makes progress"):
         solve_discrete(problem, tol=1e-300, max_iters=2000)
+
+
+def test_a_tol_below_the_floor_is_rejected_before_any_step(monkeypatch):
+    fam = make_polar_annulus(1.0, 2.0, mode="circular").family
+    problem = discretize_family(fam, 1.5, 2, 6, 8)
+    assert solve_discrete(problem, tol=1e-14).iterations > 0
+    monkeypatch.setattr(DiscreteModulusProblem, "constraint_matrix", lambda self: pytest.fail("solver started"))
+    for tol in (1e-300, 9e-15):
+        with pytest.raises(ValueError, match="at least 1e-14"):
+            solve_discrete(problem, tol=tol)
